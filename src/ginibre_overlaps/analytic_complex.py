@@ -32,14 +32,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun
+from .analytic_real import _validate_n
 from .errors import DomainError
 from .quadrature import DEFAULT_SPEC, QuadSpec, integrate_semi_infinite
-
-
-def _validate_n(n: int, minimum: int = 2) -> int:
-    if int(n) != n or n < minimum:
-        raise DomainError(f"matrix size must be an integer >= {minimum}, got {n}")
-    return int(n)
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +274,8 @@ def jpd_complex_edge(sigma, delta):
     """Edge limit of the complex joint density at |z| = sqrt(N) + delta."""
     if np.isscalar(sigma) and np.isscalar(delta):
         return _edge_complex_scalar(float(sigma), float(delta))
-    sigma = np.asarray(sigma, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    shape = np.broadcast_shapes(sigma.shape, delta.shape)
-    sb = np.broadcast_to(sigma, shape).ravel()
-    db = np.broadcast_to(delta, shape).ravel()
-    return np.array([_edge_complex_scalar(float(s), float(d))
-                     for s, d in zip(sb, db)]).reshape(shape)
+    elementwise = np.vectorize(lambda s, d: _edge_complex_scalar(float(s), float(d)), otypes=[float])
+    return elementwise(sigma, delta)
 
 
 def density_complex_edge(delta) -> float:

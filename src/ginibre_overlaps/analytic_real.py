@@ -74,8 +74,10 @@ def jpd_real(n: int, t, lam, form: str = "gamma"):
                 - 0.5 * (n + 1) * np.log1p(tb))
 
     if form == "gamma":
-        qn = np.asarray(specfun.reg_gamma_q(n, a))
-        qm = np.asarray(specfun.reg_gamma_q(n - 1, a))
+        # Q depends on lambda alone: evaluate it once per lambda, then broadcast
+        a_lam = np.asarray(lam, dtype=float) ** 2
+        qn = np.broadcast_to(specfun.reg_gamma_q(n, a_lam), shape).ravel()
+        qm = np.broadcast_to(specfun.reg_gamma_q(n - 1, a_lam), shape).ravel()
         bracket = (n - 1) * qn - a * tau * qm
         with np.errstate(divide="ignore", invalid="ignore"):
             logp = log_pref + a / (2.0 * (1.0 + tb)) + np.log(np.maximum(bracket, 0.0))
@@ -166,12 +168,8 @@ def jpd_real_edge(sigma, delta):
     """Edge scaling limit of P: lim sqrt(N) P(sqrt(N) sigma, sqrt(N) + delta)."""
     if np.isscalar(sigma) and np.isscalar(delta):
         return _edge_real_scalar(float(sigma), float(delta))
-    sigma = np.asarray(sigma, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    shape = np.broadcast_shapes(sigma.shape, delta.shape)
-    sb = np.broadcast_to(sigma, shape).ravel()
-    db = np.broadcast_to(delta, shape).ravel()
-    return np.array([_edge_real_scalar(float(s), float(d)) for s, d in zip(sb, db)]).reshape(shape)
+    elementwise = np.vectorize(lambda s, d: _edge_real_scalar(float(s), float(d)), otypes=[float])
+    return elementwise(sigma, delta)
 
 
 def density_real_edge(delta) -> float:

@@ -76,11 +76,15 @@ def _emit(args, rows: list[dict], provenance: dict, columns: list[str]) -> None:
         for row in rows:
             lines.append(",".join(_fmt(row[c]) for c in columns))
         text = "\n".join(lines) + "\n"
+    _write(args, text)
+    if args.out and args.emit_plot and args.format == "csv":
+        _write_plot_script(args.out, columns)
+
+
+def _write(args, text: str) -> None:
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
-        if getattr(args, "emit_plot", False) and args.format == "csv":
-            _write_plot_script(args.out, columns)
     else:
         sys.stdout.write(text)
 
@@ -132,10 +136,10 @@ def _cmd_analytic(args) -> int:
 def _cmd_density(args) -> int:
     grid = _parse_grid(args.grid)
     if args.ensemble == "real":
-        vals = [analytic_real.density_real(args.n, float(x)) for x in grid]
+        vals = analytic_real.density_real(args.n, grid)
         beta = 1
     else:
-        vals = [analytic_complex.density_complex(args.n, float(x) ** 2) for x in grid]
+        vals = analytic_complex.density_complex(args.n, grid ** 2)
         beta = 2
     rows = [{"n": args.n, "beta": beta, "lambda_or_abs_z": float(x), "density": float(v)}
             for x, v in zip(grid, vals)]
@@ -171,12 +175,7 @@ def _cmd_sample(args) -> int:
                                   "window_units": args.window_units}, args.seed)
     if args.format == "json":
         payload = {"provenance": prov, "histogram": _hist_payload(hist)}
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
         return 0
     rows = [{"bin_lo": float(hist.bin_edges[i]), "bin_hi": float(hist.bin_edges[i + 1]),
              "count": int(c)} for i, c in enumerate(hist.counts)]
@@ -205,12 +204,7 @@ def _cmd_compare(args) -> int:
             "metadata": {k: v for k, v in report.metadata.items()},
         },
     }
-    text = json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n")
     return 0 if report.passed else 2
 
 
@@ -291,22 +285,26 @@ def _verify_metadata(path: str) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, sampling=False):
+def _add_output(sub, tabular=True):
+    """--out; with tabular, also --format and --emit-plot, which _emit reads."""
+    sub.add_argument("--out", default=None, help="output path (default stdout)")
+    if tabular:
+        sub.add_argument("--format", choices=("csv", "json"), default="csv")
+        sub.add_argument("--emit-plot", action="store_true",
+                         help="write a companion gnuplot script next to --out")
+
+
+def _add_sampling(sub):
     sub.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
     sub.add_argument("--threads", type=int, default=1,
                      help="worker threads (speed only, never results)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--emit-plot", action="store_true",
-                     help="write a companion gnuplot script next to --out")
-    if sampling:
-        sub.add_argument("--beta", type=int, choices=(1, 2), required=True)
-        sub.add_argument("--n", type=int, required=True)
-        sub.add_argument("--matrices", type=int, required=True)
-        sub.add_argument("--window", required=True,
-                         help="real:a:b or annulus:r1:r2")
-        sub.add_argument("--window-units", choices=("scaled", "matrix"), default="scaled",
-                         help="'scaled' multiplies bounds by sqrt(n)")
+    sub.add_argument("--beta", type=int, choices=(1, 2), required=True)
+    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--matrices", type=int, required=True)
+    sub.add_argument("--window", required=True,
+                     help="real:a:b or annulus:r1:r2")
+    sub.add_argument("--window-units", choices=("scaled", "matrix"), default="scaled",
+                     help="'scaled' multiplies bounds by sqrt(n)")
 
 
 def build_parser() -> _Parser:
@@ -315,28 +313,30 @@ def build_parser() -> _Parser:
                         help="recompute and check the config hash embedded in FILE")
     subs = parser.add_subparsers(dest="command")
 
-    p = subs.add_parser("analytic", parents=[], help="evaluate the finite-N joint density")
+    p = subs.add_parser("analytic", help="evaluate the finite-N joint density")
     p.add_argument("--ensemble", choices=("real", "complex"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--abs-z", type=float, default=0.0)
     p.add_argument("--t-grid", required=True, help="log:lo:hi:count or lin:lo:hi:count")
     p.add_argument("--form", choices=("gamma", "sum"), default="gamma")
-    _add_common(p)
+    _add_output(p)
 
     p = subs.add_parser("density", help="evaluate the mean eigenvalue density")
     p.add_argument("--ensemble", choices=("real", "complex"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--grid", required=True)
-    _add_common(p)
+    _add_output(p)
 
     p = subs.add_parser("sample", help="run a sampling campaign, emit the histogram")
-    _add_common(p, sampling=True)
+    _add_sampling(p)
+    _add_output(p)
 
     p = subs.add_parser("compare", help="campaign + KS test against the analytic law")
-    _add_common(p, sampling=True)
+    _add_sampling(p)
     p.add_argument("--analytic-n", type=int, default=None,
                    help="compare against the law of a different size (power studies)")
+    _add_output(p, tabular=False)
 
     p = subs.add_parser("detratio", help="determinant-ratio closed form and MC")
     p.add_argument("--beta", type=int, choices=(1, 2), required=True)
@@ -346,10 +346,10 @@ def build_parser() -> _Parser:
     p.add_argument("--abs-z", type=float, default=0.0)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--mc", type=int, default=0, help="MC sample count (0 = closed form only)")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed for --mc")
+    _add_output(p)
 
-    p = subs.add_parser("selftest", help="quick internal consistency checks")
-    _add_common(p)
+    subs.add_parser("selftest", help="quick internal consistency checks")
     return parser
 
 

@@ -142,16 +142,21 @@ def _select_t(spec: EnsembleSpec, window: Window, w: np.ndarray, t: np.ndarray) 
     return t[mask]
 
 
+def _windowed_chunks(spec: EnsembleSpec, start: int, stop: int, window: Window, chunk: int):
+    """Yield (windowed t values, number of rejected matrices) per chunk of
+    the matrices with indices start..stop-1."""
+    for lo in range(start, stop, chunk):
+        mats = sample_ginibre_batch(spec, lo, min(lo + chunk, stop) - lo)
+        w, t, _, ok = _overlaps_core(mats)
+        yield _select_t(spec, window, w[ok], t[ok]), int((~ok).sum())
+
+
 def _campaign_range(spec: EnsembleSpec, start: int, stop: int, window: Window,
                     edges: np.ndarray, chunk: int) -> ConditionedHistogram:
     counts = np.zeros(len(edges) - 1, dtype=np.int64)
     under = over = rejected = 0
-    for lo in range(start, stop, chunk):
-        hi = min(lo + chunk, stop)
-        mats = sample_ginibre_batch(spec, lo, hi - lo)
-        w, t, _, ok = _overlaps_core(mats)
-        rejected += int((~ok).sum())
-        ts = _select_t(spec, window, w[ok], t[ok])
+    for ts, n_rejected in _windowed_chunks(spec, start, stop, window, chunk):
+        rejected += n_rejected
         if ts.size:
             counts += np.histogram(ts, bins=edges)[0]
             under += int((ts < edges[0]).sum())
@@ -167,14 +172,8 @@ def collect_overlaps(spec: EnsembleSpec, n_matrices: int, window: Window, *,
     histograms).  Same selection rules and determinism as run_campaign."""
     if n_matrices < 1:
         raise DomainError("n_matrices must be >= 1")
-    pieces = []
-    for lo in range(start_index, start_index + n_matrices, chunk):
-        hi = min(lo + chunk, start_index + n_matrices)
-        mats = sample_ginibre_batch(spec, lo, hi - lo)
-        w, t, _, ok = _overlaps_core(mats)
-        ts = _select_t(spec, window, w[ok], t[ok])
-        if ts.size:
-            pieces.append(ts)
+    pieces = [ts for ts, _ in _windowed_chunks(spec, start_index, start_index + n_matrices,
+                                               window, chunk) if ts.size]
     if not pieces:
         raise EmptyWindowError(f"no eigenvalues inside {window}")
     return np.concatenate(pieces)
@@ -231,9 +230,7 @@ def _outer_nodes(window: Window, spec: EnsembleSpec):
             return analytic_real.density_real(spec.n, x)
     else:
         def rho(r):
-            r = np.asarray(r)
-            return np.array([2.0 * math.pi * ri * analytic_complex.density_complex(spec.n, ri * ri)
-                             for ri in r.ravel()]).reshape(r.shape)
+            return 2.0 * math.pi * r * analytic_complex.density_complex(spec.n, r * r)
 
     pts = np.linspace(window.lo, window.hi, 5)
     panels = [(pts[i], pts[i + 1], *kronrod_panel(rho, pts[i], pts[i + 1])) for i in range(4)]

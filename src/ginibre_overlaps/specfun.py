@@ -1,9 +1,10 @@
-"""Scalar special functions: log-gamma, regularized incomplete gamma, erf family.
+"""Special functions for the overlap densities: what :mod:`math` lacks.
 
-All routines are self-contained double-precision implementations tuned for
-the parameter ranges that the overlap densities need: integer gamma order up
-to a few hundred, arguments up to a few hundred, and erf/erfc accurate to
-better than 1e-12 everywhere on the real line.
+Log-gamma, erf and erfc come from :mod:`math` (``log_gamma`` only adds the
+x > 0 domain check).  This module adds the regularized upper incomplete
+gamma Q(n, a) of integer order and its logarithm, accurate to ~1e-13
+relative for n up to a few hundred and every a >= 0 where Q does not
+underflow, and the scaled complementary error function erfcx.
 """
 
 from __future__ import annotations
@@ -15,22 +16,9 @@ import numpy as np
 from .errors import DomainError
 
 _SQRT_PI = math.sqrt(math.pi)
-_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# Lanczos approximation, g = 7, 9 coefficients.  Relative accuracy of the
-# reconstructed Gamma is ~1e-15 on the positive real axis.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
+erf = math.erf
+erfc = math.erfc
 
 
 def log_gamma(x: float) -> float:
@@ -38,55 +26,43 @@ def log_gamma(x: float) -> float:
     x = float(x)
     if not x > 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the Lanczos series in its sweet spot
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    y = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (y + i)
-    t = y + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (y + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 def _upper_tail_sum(n: int, a: float) -> float:
     """Q(n, a) for a > n: the finite sum e^{-a} sum_{k<n} a^k/k! evaluated
     from its largest term downward, with the common scale kept in log space."""
     # largest term is k = n-1 because a^k/k! is increasing while k < a
-    log_top = -a + (n - 1) * math.log(a) - log_gamma(float(n))
-    total = 1.0
-    comp = 0.0
-    r = 1.0
+    log_top = -a + (n - 1) * math.log(a) - math.lgamma(n)
+    terms = [1.0]
     for k in range(n - 1, 0, -1):
-        r *= k / a
-        if r < 1e-18 * total:
+        terms.append(terms[-1] * (k / a))
+        if terms[-1] < 1e-18:
             break
-        y = r - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    log_q = log_top + math.log(total)
+    log_q = log_top + math.log(math.fsum(terms))
     return math.exp(log_q) if log_q > -745.0 else 0.0
 
 
 def _lower_series(n: int, a: float) -> float:
     """P(n, a) = gamma(n, a)/Gamma(n) by the ascending series; good for a <= n."""
-    log_lead = n * math.log(a) - a - log_gamma(n + 1.0)
-    total = 1.0
-    comp = 0.0
-    term = 1.0
-    j = 0
-    while True:
-        j += 1
-        term *= a / (n + j)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if term < 1e-17 * total or j > 10_000:
+    log_lead = n * math.log(a) - a - math.lgamma(n + 1.0)
+    terms = [1.0]
+    for j in range(1, 10_001):
+        terms.append(terms[-1] * (a / (n + j)))
+        if terms[-1] < 1e-17:
             break
-    log_p = log_lead + math.log(total)
+    log_p = log_lead + math.log(math.fsum(terms))
     return math.exp(log_p) if log_p > -745.0 else 0.0
+
+
+def _q_scalar(n: int, a: float) -> float:
+    if a < 0.0:
+        raise DomainError(f"reg_gamma_q requires a >= 0, got {a}")
+    if a == 0.0:
+        return 1.0
+    if a > n:
+        return _upper_tail_sum(n, a)
+    return min(1.0, max(0.0, 1.0 - _lower_series(n, a)))
 
 
 def reg_gamma_q(n: int, a) -> float:
@@ -100,19 +76,9 @@ def reg_gamma_q(n: int, a) -> float:
     n = int(n)
     if np.ndim(a) > 0:
         arr = np.asarray(a, dtype=float)
-        out = np.empty(arr.shape)
-        flat_in, flat_out = arr.ravel(), out.ravel()
-        for i, ai in enumerate(flat_in):
-            flat_out[i] = reg_gamma_q(n, float(ai))
-        return out
-    a = float(a)
-    if a < 0.0:
-        raise DomainError(f"reg_gamma_q requires a >= 0, got {a}")
-    if a == 0.0:
-        return 1.0
-    if a > n:
-        return _upper_tail_sum(n, a)
-    return min(1.0, max(0.0, 1.0 - _lower_series(n, a)))
+        flat = [_q_scalar(n, ai) for ai in arr.ravel().tolist()]
+        return np.array(flat, dtype=float).reshape(arr.shape)
+    return _q_scalar(n, float(a))
 
 
 def log_gamma_upper(n: int, a: float) -> float:
@@ -123,22 +89,7 @@ def log_gamma_upper(n: int, a: float) -> float:
     q = reg_gamma_q(n, a)
     if q == 0.0:
         return -math.inf
-    return math.log(q) + log_gamma(float(n))
-
-
-def _erf_series(x: float) -> float:
-    """erf by the confluent series (2x/sqrt(pi)) e^{-x^2} sum (2x^2)^k/(2k+1)!!."""
-    x2 = x * x
-    term = 1.0
-    total = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= 2.0 * x2 / (2 * k + 1)
-        total += term
-        if term < 1e-18 * total or k > 200:
-            break
-    return 2.0 * x * math.exp(-x2) / _SQRT_PI * total
+    return math.log(q) + math.lgamma(n)
 
 
 def _erfcx_cf(x: float) -> float:
@@ -167,27 +118,7 @@ def _erfcx_cf(x: float) -> float:
     return 1.0 / (_SQRT_PI * f)
 
 
-_ERF_CROSSOVER = 1.5
-
-
-def erf(x: float) -> float:
-    """Error function, |relative error| well below 1e-12 on the real line."""
-    x = float(x)
-    if x < 0.0:
-        return -erf(-x)
-    if x < _ERF_CROSSOVER:
-        return _erf_series(x)
-    return 1.0 - math.exp(-x * x) * _erfcx_cf(x)
-
-
-def erfc(x: float) -> float:
-    """Complementary error function 1 - erf(x)."""
-    x = float(x)
-    if x < 0.0:
-        return 2.0 - erfc(-x)
-    if x < _ERF_CROSSOVER:
-        return 1.0 - _erf_series(x)
-    return math.exp(-x * x) * _erfcx_cf(x)
+_ERFCX_CROSSOVER = 1.5
 
 
 def erfcx(x: float) -> float:
@@ -199,6 +130,6 @@ def erfcx(x: float) -> float:
     x = float(x)
     if x < 0.0:
         return 2.0 * math.exp(x * x) - erfcx(-x)
-    if x < _ERF_CROSSOVER:
-        return math.exp(x * x) * (1.0 - _erf_series(x))
+    if x < _ERFCX_CROSSOVER:
+        return math.exp(x * x) * math.erfc(x)
     return _erfcx_cf(x)

@@ -53,6 +53,15 @@ class TestJpdReal:
         assert out.shape == t.shape
         assert out[3] == pytest.approx(ar.jpd_real(4, float(t[3]), 0.7), rel=1e-15)
 
+    @pytest.mark.parametrize("form", ["gamma", "sum"])
+    def test_array_t_matches_scalar_loop(self, form):
+        # array and scalar numpy exp/log may differ in the last bit
+        t = np.geomspace(1e-3, 1e3, 15)
+        for n, lam in ((2, 0.0), (6, 0.0), (6, 1.7), (30, 5.2), (30, -6.0)):
+            out = ar.jpd_real(n, t, lam, form=form)
+            ref = [ar.jpd_real(n, float(tk), lam, form=form) for tk in t]
+            np.testing.assert_allclose(out, ref, rtol=1e-13, atol=0.0)
+
     def test_symmetry_exact(self):
         for n, t, lam in ((3, 0.5, 0.9), (8, 12.0, 2.0)):
             assert ar.jpd_real(n, t, lam) == ar.jpd_real(n, t, -lam)

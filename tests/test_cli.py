@@ -178,6 +178,23 @@ class TestUsage:
         with pytest.raises(SystemExit) as info:
             dispatch(["analytic", "--bogus", "1"])
         assert info.value.code == 1
+        # a subcommand accepts only the flags its handler reads; every other
+        # argument on these lines is valid
+        analytic = ["analytic", "--ensemble", "real", "--n", "3", "--t-grid", "lin:1:2:3"]
+        density = ["density", "--ensemble", "real", "--n", "3", "--grid", "lin:0:1:3"]
+        detratio = ["detratio", "--beta", "1", "--L", "1", "--n", "4", "--p", "1"]
+        compare = ["compare", "--beta", "2", "--n", "4", "--matrices", "10",
+                   "--window", "annulus:0:0.5"]
+        for argv in (analytic + ["--threads", "2"], analytic + ["--seed", "1"],
+                     density + ["--threads", "2"], density + ["--seed", "1"],
+                     detratio + ["--threads", "2"],
+                     ["selftest", "--threads", "2"], ["selftest", "--seed", "1"],
+                     ["selftest", "--format", "json"], ["selftest", "--out", "x.txt"],
+                     ["selftest", "--emit-plot"],
+                     compare + ["--format", "csv"], compare + ["--emit-plot"]):
+            with pytest.raises(SystemExit) as info:
+                dispatch(argv)
+            assert info.value.code == 1, argv
 
     def test_bad_window_exit_1(self):
         rc = dispatch(["sample", "--beta", "2", "--n", "4", "--matrices", "10",

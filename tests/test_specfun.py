@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +76,22 @@ class TestRegGammaQ:
         assert out[0] == 1.0
         assert out[2] == specfun.reg_gamma_q(4, 5.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 6, 50, 200, 201])
+    def test_against_mpmath(self, n):
+        # independent 30-digit oracle over a log grid of a, both sides of the
+        # a = n branch switch included, wherever Q does not underflow
+        grid = [float(a) for a in np.geomspace(1e-8, 1e4, 61)] + [n - 1e-9, n + 1e-9]
+        with mpmath.workdps(30):
+            for a in grid:
+                ref = mpmath.gammainc(n, a, mpmath.inf, regularized=True)
+                if ref <= 1e-300:
+                    continue
+                assert abs(specfun.reg_gamma_q(n, a) - ref) <= 1e-12 * ref, a
+                # error in log Gamma(n, a) is the relative error of Gamma(n, a)
+                log_ref = mpmath.log(ref) + mpmath.loggamma(n)
+                assert abs(specfun.log_gamma_upper(n, a) - log_ref) <= 1e-12 * max(
+                    1.0, abs(log_ref)), a
+
     def test_domain(self):
         with pytest.raises(DomainError):
             specfun.reg_gamma_q(0, 1.0)
@@ -118,6 +135,14 @@ class TestErfFamily:
         xs = np.linspace(0.0, 10.0, 200)
         vals = [specfun.erfcx(float(x)) for x in xs]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+    def test_erfcx_against_mpmath(self):
+        # both sides of the x = 1.5 switch to the continued fraction, and the
+        # reflected branch
+        with mpmath.workdps(30):
+            for x in (-5.0, -1.0, 0.0, 0.7, 1.4999, 1.5, 1.5001, 2.0, 6.0, 30.0):
+                ref = mpmath.exp(mpmath.mpf(x) ** 2) * mpmath.erfc(x)
+                assert abs(specfun.erfcx(x) - ref) <= 1e-13 * ref, x
 
     def test_erf_odd(self):
         for x in (0.3, 1.0, 2.5):
