@@ -65,10 +65,28 @@ def _sample_log_values(q: DetRatioQuery, svals: np.ndarray) -> np.ndarray:
     return 2 * q.L * logs.sum(axis=1) - np.log(q.p + svals**2).sum(axis=1)
 
 
+def _merge_moments(a, b):
+    """Chan's merge of two (count, shift, mean, m2) groups of values stored
+    divided by e^shift; the merged group keeps the larger shift."""
+    if a is None:
+        return b
+    (na, sa, ma, m2a), (nb, sb, mb, m2b) = a, b
+    top = max(sa, sb)
+    fa, fb = math.exp(sa - top), math.exp(sb - top)
+    ma, m2a, mb, m2b = ma * fa, m2a * fa * fa, mb * fb, m2b * fb * fb
+    n = na + nb
+    delta = mb - ma
+    return n, top, ma + delta * nb / n, m2a + m2b + delta * delta * na * nb / n
+
+
 def detratio_mc_sweep(n: int, beta: int, L: int, z, p_values, n_samples: int, *,
                       seed: int = 0, chunk: int = 65536):
     """MC means/stderrs of D^{(L)}_{n,beta}(z, p) for several p from one
-    matrix stream (the singular values are shared across the sweep)."""
+    matrix stream (the singular values are shared across the sweep).
+
+    Each chunk's values are exponentiated after shifting their logs by the
+    chunk maximum, and chunk moments merge by Chan's update, so neither the
+    values nor their squares overflow before the final scale is applied."""
     p_values = [float(p) for p in p_values]
     queries = [DetRatioQuery(n=n, beta=beta, L=L, z=z, p=p) for p in p_values]
     for q in queries:
@@ -77,7 +95,7 @@ def detratio_mc_sweep(n: int, beta: int, L: int, z, p_values, n_samples: int, *,
     if n_samples < 1000:
         raise DomainError("need at least 1e3 samples for a meaningful estimate")
     spec = EnsembleSpec(n=n, beta=beta, seed=seed)
-    acc = [(0, 0.0, 0.0) for _ in p_values]
+    acc = [None for _ in p_values]
     zc = complex(z)
     eye = np.eye(n)
     for lo in range(0, n_samples, chunk):
@@ -86,14 +104,19 @@ def detratio_mc_sweep(n: int, beta: int, L: int, z, p_values, n_samples: int, *,
         shifted = (zc * eye)[None, :, :] - mats if beta == 2 else (zc.real * eye)[None, :, :] - mats
         svals = np.linalg.svd(shifted, compute_uv=False)
         for i, q in enumerate(queries):
-            vals = np.exp(_sample_log_values(q, svals))
-            cnt_i, s1, s2 = acc[i]
-            acc[i] = (cnt_i + vals.size, s1 + vals.sum(), s2 + (vals**2).sum())
+            logs = _sample_log_values(q, svals)
+            top = float(logs.max())
+            vals = np.exp(logs - top)
+            mean = float(vals.mean())
+            acc[i] = _merge_moments(acc[i], (vals.size, top, mean,
+                                             float(((vals - mean) ** 2).sum())))
     out = []
-    for cnt_i, s1, s2 in acc:
-        mean = s1 / cnt_i
-        var = max(s2 - cnt_i * mean * mean, 0.0) / (cnt_i - 1)
-        out.append((mean, math.sqrt(var / cnt_i)))
+    for cnt_i, top, mean, m2 in acc:
+        try:
+            scale = math.exp(top)
+        except OverflowError:
+            raise DomainError("Monte Carlo values exceed the double range") from None
+        out.append((mean * scale, math.sqrt(m2 / (cnt_i - 1) / cnt_i) * scale))
     return out
 
 

@@ -29,6 +29,7 @@ from .ensemble import (
     EnsembleSpec,
     _overlaps_core,
     default_real_tolerance,
+    near_real,
     sample_ginibre_batch,
 )
 from .errors import DomainError, EmptyWindowError, InsufficientSamplesError
@@ -130,15 +131,14 @@ class ComparisonReport:
 
 
 def _select_t(spec: EnsembleSpec, window: Window, w: np.ndarray, t: np.ndarray) -> np.ndarray:
-    tol = default_real_tolerance(spec.n)
-    near_real = np.abs(w.imag) <= tol
+    real = near_real(w, default_real_tolerance(spec.n))
     if window.kind == REAL_INTERVAL:
-        mask = near_real & (w.real >= window.lo) & (w.real <= window.hi)
+        mask = real & (w.real >= window.lo) & (w.real <= window.hi)
     else:
         r = np.abs(w)
         mask = (r >= window.lo) & (r <= window.hi)
         if spec.beta == 1:
-            mask &= ~near_real
+            mask &= ~real
     return t[mask]
 
 

@@ -56,7 +56,7 @@ def _lower_series(n: int, a: float) -> float:
 
 
 def _q_scalar(n: int, a: float) -> float:
-    if a < 0.0:
+    if not a >= 0.0:   # also rejects NaN
         raise DomainError(f"reg_gamma_q requires a >= 0, got {a}")
     if a == 0.0:
         return 1.0

@@ -70,6 +70,23 @@ class TestClosedVsMc:
         single = detratio.detratio_mc(_q(3, 2, 1, 0.5, 2.0), 20_000, seed=3)
         assert res[1][0] == pytest.approx(single[0], rel=1e-12)
 
+    def test_huge_values_finite_stderr(self):
+        # |z|^{2 L n} ~ 1e192: the squares of the values overflow unless shifted
+        [(mean, stderr)] = detratio.detratio_mc_sweep(8, 2, 2, 1e12, [1.0], 1000, seed=1)
+        assert math.isfinite(mean) and mean > 0.0
+        assert math.isfinite(stderr) and stderr > 0.0
+        # ~1e1280: past the double range, a typed error instead of inf and NaN
+        with pytest.raises(DomainError):
+            detratio.detratio_mc_sweep(8, 2, 2, 1e40, [1.0], 1000, seed=1)
+
+    def test_chunks_merge(self):
+        args = (4, 2, 1, 0.5 + 0.4j, [0.5, 5.0], 3000)
+        one = detratio.detratio_mc_sweep(*args, seed=3)
+        two = detratio.detratio_mc_sweep(*args, seed=3, chunk=1700)
+        for (m1, s1), (m2, s2) in zip(one, two):
+            assert m2 == pytest.approx(m1, rel=1e-12)
+            assert s2 == pytest.approx(s1, rel=1e-12)
+
 
 class TestIdentities:
     def test_l1_at_p0_is_one(self):

@@ -7,6 +7,28 @@ from ginibre_overlaps import ensemble as ens
 from ginibre_overlaps.errors import DegenerateSampleError, DomainError
 
 
+def _reference_matrix(spec, index):
+    """The sampling contract written out per matrix: one Generator over
+    Philox with key seed | (index+1) << 64, Box-Muller on uniform pairs."""
+    gen = np.random.Generator(np.random.Philox(key=spec.seed | ((index + 1) << 64)))
+    n, count = spec.n, spec.beta * spec.n * spec.n
+    pairs = (count + 1) // 2
+    u = gen.random(2 * pairs)
+    r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+    theta = (2.0 * np.pi) * u[1::2]
+    z = np.empty(2 * pairs)
+    z[0::2] = r * np.cos(theta)
+    z[1::2] = r * np.sin(theta)
+    z = z[:count]
+    if spec.beta == 1:
+        return z.reshape(n, n)
+    return ((z[: n * n] + 1j * z[n * n:]) / math.sqrt(2.0)).reshape(n, n)
+
+
+def _reference_batch(spec, start, count):
+    return np.stack([_reference_matrix(spec, start + i) for i in range(count)])
+
+
 class TestSampling:
     def test_determinism(self):
         spec = ens.EnsembleSpec(n=5, beta=1, seed=123)
@@ -22,6 +44,45 @@ class TestSampling:
         batch = ens.sample_ginibre_batch(spec, 3, 6)
         for i in range(6):
             assert np.array_equal(batch[i], ens.sample_ginibre(spec, 3 + i))
+
+    # (beta, n) by Philox words per matrix: 2, 16, 32, 36, 50 and 64 (the
+    # threshold) on the numpy grid; 72, 256, 288 and 1800 on C Philox
+    KNOWN_ANSWER = [(1, 1), (2, 1), (1, 4), (2, 4), (1, 6), (2, 5), (1, 8),
+                    (2, 6), (1, 16), (2, 12), (2, 30)]
+
+    @pytest.mark.parametrize("beta,n", KNOWN_ANSWER)
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("start", [0, 10**6])
+    def test_known_answer(self, beta, n, seed, start):
+        spec = ens.EnsembleSpec(n=n, beta=beta, seed=seed)
+        batch = ens.sample_ginibre_batch(spec, start, 5)
+        assert batch.tobytes() == _reference_batch(spec, start, 5).tobytes()
+
+    @pytest.mark.parametrize("beta,n", [(1, 4), (2, 4), (2, 30)])
+    def test_known_answer_across_slices(self, beta, n):
+        spec = ens.EnsembleSpec(n=n, beta=beta, seed=41)
+        count = ens.SLICE_WORDS // ens._words_per_matrix(spec) + 3
+        batch = ens.sample_ginibre_batch(spec, 7, count)
+        assert batch.tobytes() == _reference_batch(spec, 7, count).tobytes()
+
+    @pytest.mark.parametrize("words", [2, 16, 32, 36, 64, 66, 256, 258, 1800])
+    @pytest.mark.parametrize("philox", [ens._philox_grid, ens._philox_c])
+    def test_philox_words(self, philox, words):
+        for seed, start in ((0, 0), (2**64 - 1, 10**6)):
+            expected = [np.random.Philox(key=seed | ((start + i + 1) << 64)).random_raw(words)
+                        for i in range(3)]
+            assert np.array_equal(philox(seed, start, 3, words), np.stack(expected))
+
+    @pytest.mark.parametrize("beta,n", [(1, 4), (2, 30)])
+    def test_index_bound(self, beta, n):
+        spec = ens.EnsembleSpec(n=n, beta=beta, seed=2**64 - 1)
+        last = ens.MAX_INDEX
+        assert last == 2**64 - 2
+        assert ens.sample_ginibre(spec, last).tobytes() == _reference_matrix(spec, last).tobytes()
+        with pytest.raises(DomainError):
+            ens.sample_ginibre(spec, last + 1)
+        with pytest.raises(DomainError):
+            ens.sample_ginibre_batch(spec, last, 2)
 
     def test_real_entry_law(self):
         spec = ens.EnsembleSpec(n=10, beta=1, seed=2)

@@ -98,6 +98,16 @@ class TestRegGammaQ:
         with pytest.raises(DomainError):
             specfun.reg_gamma_q(3, -0.1)
 
+    def test_nan_argument(self):
+        from ginibre_overlaps import analytic_complex, analytic_real
+        nan = float("nan")
+        for call in (lambda: specfun.reg_gamma_q(6, nan),
+                     lambda: specfun.log_gamma_upper(6, nan),
+                     lambda: analytic_real.jpd_real(6, 1.0, nan),
+                     lambda: analytic_complex.density_complex(6, nan)):
+            with pytest.raises(DomainError):
+                call()
+
 
 class TestErfFamily:
     def test_erfc_zero(self):
