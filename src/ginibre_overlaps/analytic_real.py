@@ -12,8 +12,9 @@ algebraically equivalent finite-N expressions are provided:
 
 * ``form="gamma"``: a two-term bracket of regularized incomplete gammas.
 
-Integrating P over t recovers the classical mean density of real
-eigenvalues (Edelman/Kostlan/Shub), implemented as :func:`density_real`.
+Under tau = t/(1+t) its integral over t is a sum of two truncated gamma
+integrals (:func:`jpd_real_cumulative`); over all t it recovers the mean
+density of real eigenvalues (Edelman/Kostlan/Shub), :func:`density_real`.
 Bulk (lambda = sqrt(N) x, t = N s) and edge (lambda = sqrt(N) + delta,
 t = sqrt(N) sigma) scaling limits are provided in closed form.
 
@@ -29,7 +30,6 @@ import numpy as np
 
 from . import specfun
 from .errors import DomainError
-from .quadrature import DEFAULT_SPEC, integrate_finite
 
 _C0 = 1.0 / (2.0 * math.sqrt(2.0 * math.pi))
 _LN_C0 = math.log(_C0)
@@ -42,14 +42,20 @@ def _validate_n(n: int, minimum: int = 2) -> int:
     return int(n)
 
 
+def _as_t(t) -> np.ndarray:
+    """The overlap variable as a float array; every entry must be > 0."""
+    tb = np.asarray(t, dtype=float)
+    if np.any(tb <= 0.0):
+        raise DomainError("overlap variable t must be > 0")
+    return tb
+
+
 def _as_flat(t, lam):
-    t = np.asarray(t, dtype=float)
+    t = _as_t(t)
     lam = np.asarray(lam, dtype=float)
     shape = np.broadcast_shapes(t.shape, lam.shape)
     tb = np.broadcast_to(t, shape).astype(float).ravel()
     lb = np.broadcast_to(lam, shape).astype(float).ravel()
-    if np.any(tb <= 0.0):
-        raise DomainError("overlap variable t must be > 0")
     return tb, lb, shape
 
 
@@ -99,22 +105,38 @@ def jpd_real(n: int, t, lam, form: str = "gamma"):
     return _restore(out, shape, scalar)
 
 
-def _log_eks_integral(n: int, lam_abs: float) -> float:
-    """log of int_0^|lambda| e^{-u^2/2} u^{n-2} du, scaled internally so the
-    integrand never overflows for large n."""
-    if lam_abs == 0.0:
-        return -math.inf
-    nu = n - 2
-    u_star = min(lam_abs, math.sqrt(nu)) if nu > 0 else 0.0
-    m = (nu * math.log(u_star) if u_star > 0.0 else 0.0) - 0.5 * u_star * u_star
+def jpd_real_cumulative(n: int, t, lam: float):
+    """int_0^t P(u, lambda) du at one lambda for t > 0 (scalar or array), n >= 2.
 
-    def integrand(u):
-        with np.errstate(divide="ignore"):
-            h = np.where(u > 0.0, nu * np.log(np.maximum(u, 1e-300)), 0.0 if nu == 0 else -np.inf)
-        return np.exp(h - 0.5 * u * u - m)
+    Under tau = u/(1+u), P du = C0 e^{a/2} tau^{(n-3)/2} e^{-a tau/2}
+    [(n-1) Q_n(a) - a tau Q_{n-1}(a)] dtau with a = lambda^2: two truncated
+    gamma integrals I_s(a/2, t/(1+t)), combined in log space (the difference
+    loses at most about a digit past the edge).  Tends to density_real(n,
+    lambda) as t -> inf.
+    """
+    n = _validate_n(n)
+    scalar = np.isscalar(t)
+    tb = _as_t(t)
+    a = float(lam) ** 2
+    qn, qm = specfun.reg_gamma_q(n, a), specfun.reg_gamma_q(n - 1, a)
+    if qn == 0.0:   # Q_n(a) underflows past a ~ n + 700: 0, as jpd_real gives
+        return 0.0 if scalar else np.zeros(tb.shape)
+    tau = tb / (1.0 + tb)
+    log_pos = math.log((n - 1) * qn) + specfun.log_lower_integral(0.5 * (n - 1), 0.5 * a, tau)
+    log_neg = (math.log(a * qm) + specfun.log_lower_integral(0.5 * (n + 1), 0.5 * a, tau)
+               if a * qm > 0.0 else -np.inf)
+    out = np.exp(_LN_C0 + 0.5 * a + log_pos + np.log(-np.expm1(log_neg - log_pos)))
+    return float(out) if scalar else out
 
-    val, _ = integrate_finite(integrand, 0.0, lam_abs, DEFAULT_SPEC)
-    return m + math.log(val)
+
+def _log_eks_integral(n: int, lam_abs):
+    """log of int_0^|lambda| e^{-u^2/2} u^{n-2} du = (|lambda|^{n-1}/2) I_{(n-1)/2}(lambda^2/2, 1),
+    elementwise; -inf at lambda = 0."""
+    lam_abs = np.asarray(lam_abs, dtype=float)
+    with np.errstate(divide="ignore"):
+        out = ((n - 1) * np.log(lam_abs) - math.log(2.0)
+               + specfun.log_lower_integral(0.5 * (n - 1), 0.5 * lam_abs * lam_abs, 1.0))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def density_real(n: int, lam):
@@ -122,19 +144,17 @@ def density_real(n: int, lam):
 
     Even in lambda; equals 1/sqrt(2 pi) at lambda = 0 for every n >= 2, and
     integrates over the real line to the expected number of real eigenvalues.
+    Elementwise over lambda; returns float for scalar input.
     """
     n = _validate_n(n)
-    if not np.isscalar(lam):
-        arr = np.asarray(lam, dtype=float)
-        return np.array([density_real(n, float(v)) for v in arr.ravel()]).reshape(arr.shape)
-    lam = abs(float(lam))
-    a = lam * lam
+    lam_abs = np.abs(np.asarray(lam, dtype=float))
+    a = lam_abs * lam_abs
     term1 = specfun.reg_gamma_q(n - 1, a) / _SQRT_2PI
-    if lam == 0.0:
-        return term1
-    log_t2 = ((n - 1) * math.log(lam) - 0.5 * a + _log_eks_integral(n, lam)
-              - specfun.log_gamma(float(n - 1)) - math.log(_SQRT_2PI))
-    return term1 + math.exp(log_t2)
+    with np.errstate(divide="ignore"):
+        log_t2 = ((n - 1) * np.log(lam_abs) - 0.5 * a + _log_eks_integral(n, lam_abs)
+                  - specfun.log_gamma(float(n - 1)) - math.log(_SQRT_2PI))
+    out = term1 + np.exp(log_t2)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def jpd_real_bulk(s, x):

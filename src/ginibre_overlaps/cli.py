@@ -37,7 +37,10 @@ def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 4 or parts[0] not in ("log", "lin"):
         raise DomainError(f"grid must be log:lo:hi:count or lin:lo:hi:count, got {text!r}")
-    lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
+    try:
+        lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
+    except ValueError:
+        raise DomainError(f"grid bounds and count must be numbers, got {text!r}") from None
     if count < 1 or not lo < hi:
         raise DomainError(f"bad grid bounds in {text!r}")
     if parts[0] == "log":
@@ -51,7 +54,10 @@ def _parse_window(text: str, n: int, units: str) -> Window:
     parts = text.split(":")
     if len(parts) != 3 or parts[0] not in ("real", "annulus"):
         raise DomainError(f"window must be real:a:b or annulus:r1:r2, got {text!r}")
-    lo, hi = float(parts[1]), float(parts[2])
+    try:
+        lo, hi = float(parts[1]), float(parts[2])
+    except ValueError:
+        raise DomainError(f"window bounds must be numbers, got {text!r}") from None
     if units == "scaled":
         scale = math.sqrt(n)
         lo, hi = lo * scale, hi * scale
@@ -264,14 +270,20 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _verify_metadata(path: str) -> int:
-    with open(path) as fh:
-        first = fh.readline()
-        if first.startswith("# provenance: "):
-            prov = json.loads(first[len("# provenance: "):])
-        else:
-            fh.seek(0)
-            prov = json.load(fh)["provenance"]
-    claimed = prov.pop("config_sha256", None)
+    try:
+        with open(path) as fh:
+            first = fh.readline()
+            if first.startswith("# provenance: "):
+                prov = json.loads(first[len("# provenance: "):])
+            else:
+                fh.seek(0)
+                prov = json.load(fh)["provenance"]
+        claimed = prov.pop("config_sha256", None)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        # unreadable, not JSON, or JSON without a provenance object
+        print(f"error: cannot read a provenance block from {path} "
+              f"({type(exc).__name__}: {exc})", file=sys.stderr)
+        return 1
     digest = hashlib.sha256(
         json.dumps(prov, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     if digest == claimed:

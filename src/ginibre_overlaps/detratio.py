@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .analytic_complex import _normalized_logs
+from .analytic_complex import _bracket
 from .analytic_real import _log_eks_integral
 from .ensemble import EnsembleSpec, sample_ginibre_batch
 from .errors import DomainError
@@ -211,17 +211,13 @@ def _closed_complex_l1(n: int, a: float, p: float, spec: QuadSpec) -> float:
 def _closed_complex_l2(n: int, a: float, p: float, spec: QuadSpec) -> float:
     # coefficient bundle at order n+1; its normalization Gamma(n+1)Gamma(n)
     # combines with the 1/(n-1)! prefactor into Gamma(n+1)
-    l_d1, _, l_d1big, l_d2big = _normalized_logs(n + 1, a)
-    top = max(l_d1, l_d1big, l_d2big)
-    f_d1 = math.exp(l_d1 - top)
-    f_b1 = math.exp(l_d1big - top)
-    f_b2 = math.exp(l_d2big - top)
+    _, _, top, g1, g2, g3 = _bracket(n + 1, a)
     ln_pref = specfun.log_gamma(n + 1.0) + 2.0 * a + top
 
     def f(t):
         om = 1.0 / (1.0 + t)
         tau = t * om
-        bracket = f_b1 + a * f_b2 * om + a * a * f_d1 * om * om
+        bracket = g1 + g2 * om + g3 * om * om
         log_tau = np.log(t) - np.log1p(t)
         return np.exp(ln_pref - p * t - a * tau + n * log_tau - np.log(t)
                       - 2.0 * np.log1p(t) + np.log(bracket))

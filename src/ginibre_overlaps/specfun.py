@@ -4,7 +4,9 @@ Log-gamma, erf and erfc come from :mod:`math` (``log_gamma`` only adds the
 x > 0 domain check).  This module adds the regularized upper incomplete
 gamma Q(n, a) of integer order and its logarithm, accurate to ~1e-13
 relative for n up to a few hundred and every a >= 0 where Q does not
-underflow, and the scaled complementary error function erfcx.
+underflow, the scaled complementary error function erfcx, and the log of
+the truncated gamma integral int_0^T tau^{s-1} e^{-x tau} dtau, into which
+the overlap densities integrate under tau = t/(1+t).
 """
 
 from __future__ import annotations
@@ -44,7 +46,10 @@ def _upper_tail_sum(n: int, a: float) -> float:
 
 
 def _lower_series(n: int, a: float) -> float:
-    """P(n, a) = gamma(n, a)/Gamma(n) by the ascending series; good for a <= n."""
+    """P(n, a) = gamma(n, a)/Gamma(n) by the ascending series; good for a <= n.
+
+    The scalar case of log_lower_integral (P = a^n I_n(a, 1)/Gamma(n)) as a
+    plain loop, about ten times faster per call than the numpy kernel."""
     log_lead = n * math.log(a) - a - math.lgamma(n + 1.0)
     terms = [1.0]
     for j in range(1, 10_001):
@@ -53,6 +58,43 @@ def _lower_series(n: int, a: float) -> float:
             break
     log_p = log_lead + math.log(math.fsum(terms))
     return math.exp(log_p) if log_p > -745.0 else 0.0
+
+
+_BLOCK = 32
+
+
+def log_lower_integral(s: float, x, T):
+    """log I_s(x, T) = log int_0^T tau^{s-1} e^{-x tau} dtau = log(x^{-s} gamma(s, xT)).
+
+    s > 0; x >= 0 (finite) and 0 < T <= 1 broadcast.  Sums the ascending
+    series T^s e^{-xT} sum_j (xT)^j / (s (s+1) ... (s+j)), whose terms are all
+    positive, as running products in blocks, rescaled between blocks so that
+    none overflows, until the tail past the peak (below a geometric series)
+    is under 1e-17 of the sum.
+    """
+    x = np.asarray(x, dtype=float)
+    T = np.asarray(T, dtype=float)
+    if not (s > 0.0 and np.all(np.isfinite(x) & (x >= 0.0)) and np.all((T > 0.0) & (T <= 1.0))):
+        raise DomainError(f"log_lower_integral needs s > 0, finite x >= 0, 0 < T <= 1 (s = {s})")
+    y = x * T
+    total = np.ones(y.shape)        # sum_j y^j / ((s+1)...(s+j)) in units of e^{log_scale}
+    last = np.ones(y.shape)
+    log_scale = np.zeros(y.shape)
+    j = 1
+    while True:
+        run = last[..., None] * np.cumprod(y[..., None] / (s + np.arange(j, j + _BLOCK)), axis=-1)
+        total += run.sum(axis=-1)
+        last = run[..., -1]
+        j += _BLOCK
+        r = y / (s + j)             # the next ratio; later ones are smaller
+        if np.all((r < 1.0) & (last * r <= 1e-17 * (1.0 - r) * total)):
+            break
+        scale = np.where(last > 1.0, last, 1.0)
+        total /= scale
+        last /= scale
+        log_scale += np.log(scale)
+    out = s * np.log(T) - y - math.log(s) + log_scale + np.log(total)
+    return float(out) if out.ndim == 0 else out
 
 
 def _q_scalar(n: int, a: float) -> float:

@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -127,6 +129,77 @@ class TestDensityReal:
     def test_domain(self):
         with pytest.raises(DomainError):
             ar.density_real(1, 0.5)
+
+    def test_against_mpmath(self):
+        # EKS form: Q_{n-1}(a)/sqrt(2 pi) + |lam|^{n-1} e^{-a/2}
+        # 2^{(n-3)/2} gamma((n-1)/2, a/2) / (Gamma(n-1) sqrt(2 pi)), a = lam^2
+        with mpmath.workdps(40):
+            for n in (2, 3, 6, 50, 200):
+                lams = np.linspace(0.0, 2.0 * math.sqrt(n), 21)
+                got = ar.density_real(n, lams)
+                for lam, g in zip(lams.tolist(), got):
+                    a = mpmath.mpf(lam) ** 2
+                    ref = mpmath.gammainc(n - 1, a, mpmath.inf, regularized=True)
+                    ref += (mpmath.mpf(lam) ** (n - 1) * mpmath.exp(-a / 2)
+                            * 2 ** (mpmath.mpf(n - 3) / 2)
+                            * mpmath.gammainc(mpmath.mpf(n - 1) / 2, 0, a / 2)
+                            / mpmath.gamma(n - 1))
+                    ref /= mpmath.sqrt(2 * mpmath.pi)
+                    assert abs(g - ref) <= 1e-12 * ref, (n, lam)
+
+    def test_array_matches_scalar_loop(self):
+        lams = np.array([[-3.0, 0.0], [0.7, 12.0]])
+        got = ar.density_real(9, lams)
+        assert got.shape == lams.shape
+        for lam, g in zip(lams.ravel(), got.ravel()):
+            assert g == pytest.approx(ar.density_real(9, float(lam)), rel=1e-14)
+
+
+class TestCumulative:
+    """int_0^t P(u, lambda) du in closed form."""
+
+    @staticmethod
+    def _reference(n, t, lam):
+        # C0 e^{a/2} [(n-1) Q_n I_{(n-1)/2}(a/2, T) - a Q_{n-1} I_{(n+1)/2}(a/2, T)],
+        # I_s(x, T) = x^{-s} gamma(s, xT), T = t/(1+t), at the working precision
+        a = mpmath.mpf(lam) ** 2
+        T = mpmath.mpf(t) / (1 + mpmath.mpf(t))
+
+        def lower(s):
+            return T ** s / s if a == 0 else mpmath.gammainc(s, 0, a / 2 * T) / (a / 2) ** s
+
+        qn = mpmath.gammainc(n, a, mpmath.inf, regularized=True)
+        qm = mpmath.gammainc(n - 1, a, mpmath.inf, regularized=True)
+        return (mpmath.exp(a / 2) / (2 * mpmath.sqrt(2 * mpmath.pi))
+                * ((n - 1) * qn * lower(mpmath.mpf(n - 1) / 2)
+                   - a * qm * lower(mpmath.mpf(n + 1) / 2)))
+
+    @pytest.mark.parametrize("n", [2, 6, 200])
+    def test_against_mpmath(self, n):
+        # bulk to twice the edge, t over 18 decades; a value may be 0 only
+        # where the true one is below the double range
+        ts = np.geomspace(1e-6, 1e12, 19)
+        with mpmath.workdps(50):
+            for lam in np.linspace(0.0, 2.0 * math.sqrt(n), 9).tolist():
+                got = ar.jpd_real_cumulative(n, ts, lam)
+                for t, g in zip(ts.tolist(), got):
+                    ref = self._reference(n, t, lam)
+                    if ref >= sys.float_info.min:
+                        assert abs(g - ref) <= 1e-12 * ref, (lam, t)
+                    else:
+                        assert 0.0 <= g <= sys.float_info.min, (lam, t)
+
+    def test_tends_to_density(self):
+        for n in (2, 6, 50, 200):
+            for lam in np.linspace(0.0, 2.0 * math.sqrt(n), 7).tolist():
+                assert ar.jpd_real_cumulative(n, 1e300, lam) == pytest.approx(
+                    ar.density_real(n, lam), rel=1e-12)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            ar.jpd_real_cumulative(6, 0.0, 0.5)
+        with pytest.raises(DomainError):
+            ar.jpd_real_cumulative(1, 1.0, 0.5)
 
 
 class TestBulk:

@@ -142,6 +142,15 @@ class TestMetadata:
             fh.write(text)
         assert dispatch(["--verify-metadata", str(out)]) == 1
 
+    def test_verify_unreadable_exit_1(self, tmp_path, capsys):
+        for name, text in (("empty.json", "{}"), ("text.txt", "not json\n"),
+                           ("list.json", "[]"), ("scalar.json", '{"provenance": 3}')):
+            path = tmp_path / name
+            path.write_text(text)
+            assert dispatch(["--verify-metadata", str(path)]) == 1, name
+            assert capsys.readouterr().err.startswith("error: "), name
+        assert dispatch(["--verify-metadata", str(tmp_path / "missing.json")]) == 1
+
     def test_verify_json_output(self, tmp_path):
         out = tmp_path / "hist.json"
         dispatch(["sample", "--beta", "2", "--n", "4", "--matrices", "100",
@@ -200,6 +209,13 @@ class TestUsage:
         rc = dispatch(["sample", "--beta", "2", "--n", "4", "--matrices", "10",
                        "--window", "circle:0:1"])
         assert rc == 1
+        # malformed numbers in a grid or window end in an error line, not a traceback
+        for argv in (["density", "--ensemble", "real", "--n", "3", "--grid", "lin:0:1:abc"],
+                     ["sample", "--beta", "2", "--n", "4", "--matrices", "10",
+                      "--window", "real:a:1"],
+                     ["analytic", "--ensemble", "real", "--n", "3",
+                      "--t-grid", "log:1e-2:1e2:nan"]):
+            assert dispatch(argv) == 1, argv
 
     def test_no_command_exit_1(self):
         assert dispatch([]) == 1

@@ -15,6 +15,35 @@ from ginibre_overlaps.errors import (
 from ginibre_overlaps.quadrature import QuadSpec, integrate_finite
 
 
+def _reference_conditional_cdf(spec, window, t_grid):
+    """The conditional CDF by nested quadrature, as analytic_conditional_cdf
+    computed it before the t-integral had a closed form: on the same outer
+    nodes, one adaptive integral of the joint density per node and bin."""
+    from ginibre_overlaps import analytic_complex, analytic_real
+    seg_spec = QuadSpec(abs_tol=1e-14, rel_tol=1e-9, max_subdivisions=400)
+    nodes, weights, mass = mh._outer_nodes(window, spec)
+    cdf = np.zeros(t_grid.size)
+    for x, wgt in zip(nodes, weights):
+        if spec.beta == 1:
+            def pdf(t, _x=x):
+                return analytic_real.jpd_real(spec.n, t, _x)
+        else:
+            def pdf(t, _a=x * x):
+                return analytic_complex.jpd_complex(spec.n, t, _a)
+
+        # first segment via t = v^2: absorbs the integrable t^{-1/2}
+        # endpoint of the real-ensemble density at n <= 3
+        v0 = math.sqrt(t_grid[0])
+        seg, _ = integrate_finite(lambda v: 2.0 * v * pdf(v * v), 0.0, v0, seg_spec)
+        cum = np.empty(t_grid.size)
+        cum[0] = seg
+        for i in range(1, t_grid.size):
+            seg, _ = integrate_finite(pdf, t_grid[i - 1], t_grid[i], seg_spec)
+            cum[i] = cum[i - 1] + seg
+        cdf += wgt * cum
+    return cdf / mass
+
+
 def _synthetic_hist(t_samples, n=4, window=None):
     edges = mh.default_bin_edges(n)
     window = window or mh.Window(kind=mh.ANNULUS, lo=0.0, hi=1.0)
@@ -140,6 +169,18 @@ class TestConditionalCdf:
         num, _ = integrate_finite(g, 1e-12, t_star, QuadSpec(1e-13, 1e-9, 600))
         den, _ = integrate_finite(lambda x: analytic_real.density_real(n, x), lo, hi)
         assert cdf[0] == pytest.approx(num / den, rel=1e-6)
+
+    @pytest.mark.parametrize("beta, n, kind, lo, hi", [
+        (1, 6, mh.REAL_INTERVAL, -0.5, 0.5),     # the benchmark's campaign-real
+        (2, 30, mh.ANNULUS, 0.45, 0.55),        # the benchmark's campaign-complex
+        (1, 2, mh.REAL_INTERVAL, -0.3, 1.2),     # t^{-1/2} endpoint of the density
+    ], ids=["campaign-real", "campaign-complex", "real-n2"])
+    def test_matches_nested_quadrature(self, beta, n, kind, lo, hi):
+        spec = EnsembleSpec(n=n, beta=beta, seed=0)
+        win = mh.Window(kind=kind, lo=lo * math.sqrt(n), hi=hi * math.sqrt(n))
+        grid = mh.default_bin_edges(n)
+        cdf = mh.analytic_conditional_cdf(spec, win, grid)
+        assert np.abs(cdf - _reference_conditional_cdf(spec, win, grid)).max() <= 1e-10
 
     def test_unsupported_combinations(self):
         annulus = mh.Window(kind=mh.ANNULUS, lo=0.0, hi=1.0)

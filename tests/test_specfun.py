@@ -104,9 +104,61 @@ class TestRegGammaQ:
         for call in (lambda: specfun.reg_gamma_q(6, nan),
                      lambda: specfun.log_gamma_upper(6, nan),
                      lambda: analytic_real.jpd_real(6, 1.0, nan),
-                     lambda: analytic_complex.density_complex(6, nan)):
+                     lambda: analytic_real.density_real(6, nan),
+                     lambda: analytic_real.density_real(6, np.array([0.5, nan])),
+                     lambda: analytic_complex.density_complex(6, nan),
+                     lambda: analytic_complex.jpd_complex(6, 1.0, nan),
+                     lambda: specfun.log_lower_integral(1.5, nan, 0.5)):
             with pytest.raises(DomainError):
                 call()
+
+
+class TestLogLowerIntegral:
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 29.0, 100.5])
+    def test_against_mpmath(self, s):
+        # log I_s(x, T) = log gamma(s, xT) - s log x, at 50 digits; the bound
+        # is on the error of the log, the relative error of I_s where
+        # |log I_s| <= 1 (a double holding a log near -700 is itself only good
+        # to ~1e-13 absolute)
+        xs = [0.0, 1e-10, 1e-3, 0.3, 1.0, 7.0, 28.9, 29.0, 100.5, 150.0, 399.9, 400.0]
+        T = np.array([1e-12, 1e-6, 1e-3, 0.01, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-12, 1.0])
+        with mpmath.workdps(50):
+            for x in xs:
+                got = specfun.log_lower_integral(s, x, T)
+                for Ti, gi in zip(T.tolist(), got):
+                    if x == 0.0:
+                        ref = s * mpmath.log(Ti) - mpmath.log(s)
+                    else:
+                        ref = (mpmath.log(mpmath.gammainc(s, 0, x * mpmath.mpf(Ti)))
+                               - s * mpmath.log(x))
+                    assert abs(gi - ref) <= 1e-13 * max(1.0, abs(ref)), (x, Ti)
+
+    def test_broadcast_and_scalar(self):
+        x = np.array([[0.5], [40.0]])
+        T = np.array([0.2, 1.0])
+        grid = specfun.log_lower_integral(2.5, x, T)
+        assert grid.shape == (2, 2)
+        for i in range(2):
+            for j in range(2):
+                one = specfun.log_lower_integral(2.5, float(x[i, 0]), float(T[j]))
+                assert isinstance(one, float)
+                assert one == pytest.approx(grid[i, j], rel=1e-14)
+
+    def test_large_x_stays_finite(self):
+        # terms up to e^{xT} are rescaled between blocks, so nothing
+        # overflows; I_s -> Gamma(s) x^{-s} up to e^{-x}.  The log is the
+        # difference of -xT and the log of the sum, each of size ~xT, so its
+        # error grows like eps * xT.
+        for x in (800.0, 5000.0):
+            got = specfun.log_lower_integral(0.5, x, 1.0)
+            assert abs(got - (math.lgamma(0.5) - 0.5 * math.log(x))) <= 1e-15 * x
+
+    def test_domain(self):
+        for s, x, T in ((0.0, 1.0, 0.5), (-1.0, 1.0, 0.5), (1.0, -0.1, 0.5),
+                        (1.0, math.inf, 0.5), (1.0, 1.0, 0.0), (1.0, 1.0, 1.5),
+                        (1.0, 1.0, math.nan)):
+            with pytest.raises(DomainError):
+                specfun.log_lower_integral(s, x, T)
 
 
 class TestErfFamily:
