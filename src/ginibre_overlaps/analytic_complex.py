@@ -268,8 +268,8 @@ def jpd_complex_bulk(s, w_abs):
     """Bulk limit: lim N P(N s, sqrt(N) w) = (1-|w|^2)^2 e^{-(1-|w|^2)/s}/(pi s^3)."""
     s = np.asarray(s, dtype=float)
     w = np.asarray(w_abs, dtype=float)
-    if np.any(s <= 0.0):
-        raise DomainError("bulk overlap s must be > 0")
+    if not (np.all(s > 0.0) and np.all(np.abs(w) >= 0.0)):   # also rejects NaN
+        raise DomainError("bulk overlap s must be > 0 and w a number")
     c = 1.0 - w * w
     with np.errstate(over="ignore"):
         val = c * c * np.exp(-c / s) / (math.pi * s**3)
@@ -278,8 +278,8 @@ def jpd_complex_bulk(s, w_abs):
 
 
 def _edge_complex_scalar(sigma: float, delta: float) -> float:
-    if sigma <= 0.0:
-        raise DomainError("edge overlap sigma must be > 0")
+    if not (sigma > 0.0 and abs(delta) >= 0.0):   # also rejects NaN
+        raise DomainError(f"edge needs sigma > 0 and a number delta, got ({sigma}, {delta})")
     big = 1.0 - 2.0 * sigma * delta
     gauss = -big * big / (2.0 * sigma * sigma)
     sq2d = math.sqrt(2.0) * delta
@@ -306,6 +306,8 @@ def jpd_complex_edge(sigma, delta):
 
 def density_complex_edge(delta) -> float:
     """Mean edge density of complex eigenvalues: erfc(sqrt(2) delta)/(2 pi)."""
+    if math.isnan(float(delta)):
+        raise DomainError("edge offset delta must be a number")
     return specfun.erfc(math.sqrt(2.0) * float(delta)) / (2.0 * math.pi)
 
 
@@ -319,8 +321,8 @@ def sensitivity_density(n: int, w_abs_sq: float, z_abs_sq: float,
     """
     n = _validate_n(n)
     w2 = float(w_abs_sq)
-    if w2 < 0.0:
-        raise DomainError("|w|^2 must be >= 0")
+    if not w2 >= 0.0:   # also rejects NaN
+        raise DomainError(f"|w|^2 must be >= 0, got {w_abs_sq}")
 
     def integrand(t):
         om = 1.0 / (1.0 + t)

@@ -80,14 +80,9 @@ def jpd_real(n: int, t, lam, form: str = "gamma"):
                 - 0.5 * (n + 1) * np.log1p(tb))
 
     if form == "gamma":
-        # Q depends on lambda alone: evaluate it once per lambda, then broadcast
-        a_lam = np.asarray(lam, dtype=float) ** 2
-        qn = np.broadcast_to(specfun.reg_gamma_q(n, a_lam), shape).ravel()
-        qm = np.broadcast_to(specfun.reg_gamma_q(n - 1, a_lam), shape).ravel()
-        bracket = (n - 1) * qn - a * tau * qm
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logp = log_pref + a / (2.0 * (1.0 + tb)) + np.log(np.maximum(bracket, 0.0))
-        out = np.where(bracket > 0.0, np.exp(logp), 0.0)
+        # Q depends on lambda alone: the bracket evaluates it once per lambda
+        log_b = specfun.log_gamma_bracket(n - 1, np.asarray(lam, dtype=float) ** 2)
+        out = np.exp(log_pref + a / (2.0 * (1.0 + tb)) + log_b(tau.reshape(shape)).ravel())
     elif form == "sum":
         k = np.arange(n, dtype=float)
         lgk = np.array([specfun.log_gamma(kk + 1.0) for kk in k])
@@ -118,13 +113,11 @@ def jpd_real_cumulative(n: int, t, lam: float):
     scalar = np.isscalar(t)
     tb = _as_t(t)
     a = float(lam) ** 2
-    qn, qm = specfun.reg_gamma_q(n, a), specfun.reg_gamma_q(n - 1, a)
-    if qn == 0.0:   # Q_n(a) underflows past a ~ n + 700: 0, as jpd_real gives
-        return 0.0 if scalar else np.zeros(tb.shape)
     tau = tb / (1.0 + tb)
-    log_pos = math.log((n - 1) * qn) + specfun.log_lower_integral(0.5 * (n - 1), 0.5 * a, tau)
-    log_neg = (math.log(a * qm) + specfun.log_lower_integral(0.5 * (n + 1), 0.5 * a, tau)
-               if a * qm > 0.0 else -np.inf)
+    log_pos = (math.log(n - 1) + specfun.log_reg_gamma_q(n, a)
+               + specfun.log_lower_integral(0.5 * (n - 1), 0.5 * a, tau))
+    log_neg = (math.log(a) + specfun.log_reg_gamma_q(n - 1, a)
+               + specfun.log_lower_integral(0.5 * (n + 1), 0.5 * a, tau) if a > 0.0 else -np.inf)
     out = np.exp(_LN_C0 + 0.5 * a + log_pos + np.log(-np.expm1(log_neg - log_pos)))
     return float(out) if scalar else out
 
@@ -161,8 +154,8 @@ def jpd_real_bulk(s, x):
     """Bulk scaling limit of P: lim N P(N s, sqrt(N) x); zero for |x| >= 1."""
     s = np.asarray(s, dtype=float)
     x = np.asarray(x, dtype=float)
-    if np.any(s <= 0.0):
-        raise DomainError("bulk overlap s must be > 0")
+    if not (np.all(s > 0.0) and np.all(np.abs(x) >= 0.0)):   # also rejects NaN
+        raise DomainError("bulk overlap s must be > 0 and x a number")
     c = 1.0 - x * x
     with np.errstate(over="ignore"):
         val = _C0 * c * np.exp(-c / (2.0 * s)) / (s * s)
@@ -171,8 +164,8 @@ def jpd_real_bulk(s, x):
 
 
 def _edge_real_scalar(sigma: float, delta: float) -> float:
-    if sigma <= 0.0:
-        raise DomainError("edge overlap sigma must be > 0")
+    if not (sigma > 0.0 and abs(delta) >= 0.0):   # also rejects NaN
+        raise DomainError(f"edge needs sigma > 0 and a number delta, got ({sigma}, {delta})")
     expo = -0.25 / (sigma * sigma) + delta / sigma
     t1 = math.exp(expo - 2.0 * delta * delta) / _SQRT_2PI
     coef = 0.5 * (1.0 / sigma - 2.0 * delta)
@@ -199,6 +192,8 @@ def density_real_edge(delta) -> float:
     tends to the bulk value 1/sqrt(2 pi) as delta -> -inf and to 0 as delta -> +inf.
     """
     d = float(delta)
+    if math.isnan(d):
+        raise DomainError("edge offset delta must be a number")
     first = specfun.erfc(math.sqrt(2.0) * d)
     if d >= 0.0:
         second = math.exp(-d * d) * (1.0 + specfun.erf(d)) / math.sqrt(2.0)

@@ -8,11 +8,24 @@ The object of interest is
 whose Laplace structure in p encodes the overlap densities.  Supported
 (beta, L) pairs: (1,0), (1,2), (2,0), (2,1), (2,2) with z real for beta=1.
 
-Each supported pair has a closed one-dimensional integral representation
-(evaluated here by adaptive quadrature, with incomplete-gamma brackets kept
-in regularized form) and a brute-force Monte Carlo estimator built on the
-singular values of z - G accumulated in log space, so determinants never
-overflow.  The MC side is the oracle that validates the closed forms.
+Each supported pair is one Laplace integral, with a = |z|^2, tau = t/(1+t)
+and om = 1/(1+t) = 1 - tau (lnG = log Gamma):
+
+    D = int_0^inf e^{-pt} tau^k om^j exp(log_pref - c tau + log_bracket) dt
+
+    route   log_pref                            c    k        j  log_bracket
+    (1,0)   -(n/2) ln2 - lnG(n/2)               a/2  n/2 - 1  1  -
+    (1,2)   lnG(n) - (n/2) ln2 - lnG(n/2) + a   a/2  n/2 - 1  2  log B_n(a, tau)
+    (2,0)   -lnG(n)                             a    n - 1    1  -
+    (2,1)   a                                   a    n - 1    2  log B_n(a, tau)
+    (2,2)   lnG(n+1) + 2a + top                 a    n - 1    3  log(g1 + g2 om + g3 om^2)
+    zero    ln n + lnG(n+2)                     0    n - 1    3  -
+
+where B_n = n Q_{n+1}(a) - a tau Q_n(a) (specfun.log_gamma_bracket), and
+top, g1..g3 are the complex density's bracket at order n+1.  It is
+evaluated by adaptive quadrature.  A brute-force Monte Carlo estimator built
+on the singular values of z - G, accumulated in log space so determinants
+never overflow, is the oracle that validates the closed forms.
 """
 
 from __future__ import annotations
@@ -50,7 +63,7 @@ class DetRatioQuery:
             raise DomainError(f"unsupported (beta, L) = ({self.beta}, {self.L})")
         if self.beta == 1 and abs(complex(self.z).imag) > 0.0:
             raise DomainError("beta = 1 requires a real spectral parameter z")
-        if self.p < 0.0:
+        if not self.p >= 0.0:   # also rejects NaN
             raise DomainError("shift p must be >= 0")
 
 
@@ -131,134 +144,64 @@ def detratio_mc(q: DetRatioQuery, n_samples: int, *, seed: int = 0,
 # closed forms
 # ---------------------------------------------------------------------------
 
-def _integrate_kernel(f, p: float, spec: QuadSpec, hint: float | None = None) -> float:
-    """Integrate f over (0, inf) with the variable rescaled by the e^{-pt}
-    kernel scale, so large p cannot hide the integrand from the first panels."""
+def _laplace(p: float, log_pref: float, c: float, k: float, j: int, spec: QuadSpec,
+             log_bracket=None) -> float:
+    """int_0^inf e^{-pt} tau^k om^j exp(log_pref - c tau + log_bracket(tau, om)) dt
+    with tau = t/(1+t) and om = 1/(1+t) = 1 - tau.
+
+    t is rescaled by the e^{-pt} kernel scale max(p, 1), so large p cannot hide
+    the integrand from the first panels; a negative k is the t -> 0 endpoint
+    exponent.  The bracket stays inside the exponent: as a separate factor,
+    e^{log_pref} times the bracket gives inf * 0 past the edge.
+    """
     scale = max(p, 1.0)
 
-    def g(s):
-        return f(s / scale) / scale
-
-    val, _ = integrate_semi_infinite(g, spec, singular_exponent_at_zero=hint)
-    return val
-
-
-def _closed_real_l0(n: int, a: float, p: float, spec: QuadSpec) -> float:
-    ln_pref = -0.5 * n * _LN2 - specfun.log_gamma(0.5 * n)
-
-    def f(t):
-        log_tau = np.log(t) - np.log1p(t)
-        return np.exp(ln_pref - p * t - 0.5 * a * np.exp(log_tau)
-                      + 0.5 * n * log_tau - np.log(t))
-
-    hint = 0.5 * n - 1.0
-    return _integrate_kernel(f, p, spec, hint=hint if hint < 0 else None)
-
-
-def _closed_real_l2(n: int, a: float, p: float, spec: QuadSpec) -> float:
-    # bracket [Gamma(n+1,a) - a tau Gamma(n,a)] = Gamma(n) [n Q_{n+1} - a tau Q_n]
-    qn1 = specfun.reg_gamma_q(n + 1, a)
-    qn = specfun.reg_gamma_q(n, a)
-    ln_pref = specfun.log_gamma(float(n)) - 0.5 * n * _LN2 - specfun.log_gamma(0.5 * n)
-
-    def f(t):
-        tau = t / (1.0 + t)
-        bracket = np.maximum(n * qn1 - a * tau * qn, 0.0)
-        log_tau = np.log(t) - np.log1p(t)
-        with np.errstate(divide="ignore"):
-            return np.where(
-                bracket > 0.0,
-                np.exp(ln_pref - p * t + a * (1.0 - 0.5 * tau)
-                       + 0.5 * (n + 2) * log_tau - 2.0 * np.log(t)
-                       + np.log(np.maximum(bracket, 1e-300))),
-                0.0)
-
-    hint = 0.5 * (n - 2)
-    return _integrate_kernel(f, p, spec, hint=hint if hint < 0 else None)
-
-
-def _closed_complex_l0(n: int, a: float, p: float, spec: QuadSpec) -> float:
-    ln_pref = -specfun.log_gamma(float(n))
-
-    def f(t):
-        tau = t / (1.0 + t)
-        log_tau = np.log(t) - np.log1p(t)
-        return np.exp(ln_pref - p * t - a * tau + n * log_tau - np.log(t))
-
-    return _integrate_kernel(f, p, spec)
-
-
-def _closed_complex_l1(n: int, a: float, p: float, spec: QuadSpec) -> float:
-    # [Gamma(n+1,a) - a tau Gamma(n,a)]/(n-1)! in regularized form; the e^a
-    # prefactor combines with e^{-a tau} into the bounded e^{a/(1+t)}
-    qn1 = specfun.reg_gamma_q(n + 1, a)
-    qn = specfun.reg_gamma_q(n, a)
-
-    def f(t):
-        tau = t / (1.0 + t)
-        bracket = np.maximum(n * qn1 - a * tau * qn, 0.0)
-        log_tau = np.log(t) - np.log1p(t)
-        with np.errstate(divide="ignore"):
-            return np.where(
-                bracket > 0.0,
-                np.exp(-p * t + a / (1.0 + t) + n * log_tau - np.log(t) - np.log1p(t)
-                       + np.log(np.maximum(bracket, 1e-300))),
-                0.0)
-
-    return _integrate_kernel(f, p, spec)
-
-
-def _closed_complex_l2(n: int, a: float, p: float, spec: QuadSpec) -> float:
-    # coefficient bundle at order n+1; its normalization Gamma(n+1)Gamma(n)
-    # combines with the 1/(n-1)! prefactor into Gamma(n+1)
-    _, _, top, g1, g2, g3 = _bracket(n + 1, a)
-    ln_pref = specfun.log_gamma(n + 1.0) + 2.0 * a + top
-
-    def f(t):
+    def f(s):
+        t = s / scale
         om = 1.0 / (1.0 + t)
-        tau = t * om
-        bracket = g1 + g2 * om + g3 * om * om
-        log_tau = np.log(t) - np.log1p(t)
-        return np.exp(ln_pref - p * t - a * tau + n * log_tau - np.log(t)
-                      - 2.0 * np.log1p(t) + np.log(bracket))
+        log_om = -np.log1p(t)
+        expo = log_pref - p * t + k * (np.log(t) + log_om) + j * log_om - c * t * om
+        if log_bracket is not None:
+            expo = expo + log_bracket(t * om, om)
+        return np.exp(expo) / scale
 
-    return _integrate_kernel(f, p, spec)
-
-
-def _closed_complex_l2_zero(n: int, p: float, spec: QuadSpec) -> float:
-    ln_pref = math.log(n) + specfun.log_gamma(n + 2.0)
-
-    def f(t):
-        log_tau = np.log(t) - np.log1p(t)
-        return np.exp(ln_pref - p * t + n * log_tau - np.log(t) - 2.0 * np.log1p(t))
-
-    return _integrate_kernel(f, p, spec)
+    val, _ = integrate_semi_infinite(f, spec, singular_exponent_at_zero=k if k < 0 else None)
+    return val
 
 
 def detratio_closed(q: DetRatioQuery, spec: QuadSpec = DEFAULT_SPEC,
                     route: str = "general") -> float:
-    """Closed-form value of the determinant ratio at q.
+    """Closed-form value of the determinant ratio at q: one row of the table
+    in the module docstring.
 
     route="zero" selects the specialized z = 0 representation for
     (beta, L) = (2, 2); it agrees with the general route to ~1e-8 and
     exists as an independent cross-check.
     """
-    a = abs(complex(q.z)) ** 2
+    n, a, p = q.n, abs(complex(q.z)) ** 2, q.p
     if route == "zero":
         if (q.beta, q.L) != (2, 2) or a != 0.0:
             raise DomainError("route='zero' applies only to (beta, L) = (2, 2) at z = 0")
-        return _closed_complex_l2_zero(q.n, q.p, spec)
+        return _laplace(p, math.log(n) + specfun.log_gamma(n + 2.0), 0.0, n - 1, 3, spec)
     if route != "general":
         raise DomainError(f"unknown route {route!r}")
-    if (q.beta, q.L) == (1, 0):
-        return _closed_real_l0(q.n, a, q.p, spec)
-    if (q.beta, q.L) == (1, 2):
-        return _closed_real_l2(q.n, a, q.p, spec)
-    if (q.beta, q.L) == (2, 0):
-        return _closed_complex_l0(q.n, a, q.p, spec)
-    if (q.beta, q.L) == (2, 1):
-        return _closed_complex_l1(q.n, a, q.p, spec)
-    return _closed_complex_l2(q.n, a, q.p, spec)
+    if (q.beta, q.L) in ((1, 2), (2, 1)):
+        log_b = specfun.log_gamma_bracket(n, a)
+    if q.beta == 1:
+        log_norm = -0.5 * n * _LN2 - specfun.log_gamma(0.5 * n)
+        if q.L == 0:
+            return _laplace(p, log_norm, 0.5 * a, 0.5 * n - 1.0, 1, spec)
+        return _laplace(p, specfun.log_gamma(n) + log_norm + a, 0.5 * a, 0.5 * n - 1.0, 2,
+                        spec, lambda tau, om: log_b(tau))
+    if q.L == 0:
+        return _laplace(p, -specfun.log_gamma(n), a, n - 1, 1, spec)
+    if q.L == 1:
+        return _laplace(p, a, a, n - 1, 2, spec, lambda tau, om: log_b(tau))
+    # coefficient bundle at order n+1; its normalization Gamma(n+1)Gamma(n)
+    # combines with the 1/(n-1)! prefactor into Gamma(n+1)
+    _, _, top, g1, g2, g3 = _bracket(n + 1, a)
+    return _laplace(p, specfun.log_gamma(n + 1.0) + 2.0 * a + top, a, n - 1, 3, spec,
+                    lambda tau, om: np.log(g1 + g2 * om + g3 * om * om))
 
 
 def detratio_real_l2_p0(n: int, lam: float) -> float:

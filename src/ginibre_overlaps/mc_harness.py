@@ -65,6 +65,8 @@ class Window:
     def __post_init__(self):
         if self.kind not in (REAL_INTERVAL, ANNULUS):
             raise DomainError(f"unknown window kind {self.kind!r}")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise DomainError(f"window {self.kind}:{self.lo}:{self.hi} needs finite bounds")
         if not self.lo < self.hi:
             raise DomainError("window requires lo < hi")
         if self.kind == ANNULUS and self.lo < 0.0:

@@ -2,11 +2,13 @@
 
 Log-gamma, erf and erfc come from :mod:`math` (``log_gamma`` only adds the
 x > 0 domain check).  This module adds the regularized upper incomplete
-gamma Q(n, a) of integer order and its logarithm, accurate to ~1e-13
-relative for n up to a few hundred and every a >= 0 where Q does not
-underflow, the scaled complementary error function erfcx, and the log of
-the truncated gamma integral int_0^T tau^{s-1} e^{-x tau} dtau, into which
-the overlap densities integrate under tau = t/(1+t).
+gamma Q(n, a) of integer order, computed as log Q so that it stays finite
+where Q itself underflows (a past ~n + 700), accurate to ~1e-13 relative
+for n up to a few hundred; the bracket m Q_{m+1}(a) - a tau Q_m(a) that the
+real overlap density and two determinant ratios share, in the same log
+space; the scaled complementary error function erfcx; and the log of the
+truncated gamma integral int_0^T tau^{s-1} e^{-x tau} dtau, into which the
+overlap densities integrate under tau = t/(1+t).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ def log_gamma(x: float) -> float:
 
 
 def _upper_tail_sum(n: int, a: float) -> float:
-    """Q(n, a) for a > n: the finite sum e^{-a} sum_{k<n} a^k/k! evaluated
+    """log Q(n, a) for a > n: the finite sum e^{-a} sum_{k<n} a^k/k! evaluated
     from its largest term downward, with the common scale kept in log space."""
     # largest term is k = n-1 because a^k/k! is increasing while k < a
     log_top = -a + (n - 1) * math.log(a) - math.lgamma(n)
@@ -41,8 +43,7 @@ def _upper_tail_sum(n: int, a: float) -> float:
         terms.append(terms[-1] * (k / a))
         if terms[-1] < 1e-18:
             break
-    log_q = log_top + math.log(math.fsum(terms))
-    return math.exp(log_q) if log_q > -745.0 else 0.0
+    return log_top + math.log(math.fsum(terms))
 
 
 def _lower_series(n: int, a: float) -> float:
@@ -56,8 +57,7 @@ def _lower_series(n: int, a: float) -> float:
         terms.append(terms[-1] * (a / (n + j)))
         if terms[-1] < 1e-17:
             break
-    log_p = log_lead + math.log(math.fsum(terms))
-    return math.exp(log_p) if log_p > -745.0 else 0.0
+    return math.exp(log_lead + math.log(math.fsum(terms)))
 
 
 _BLOCK = 32
@@ -97,14 +97,26 @@ def log_lower_integral(s: float, x, T):
     return float(out) if out.ndim == 0 else out
 
 
-def _q_scalar(n: int, a: float) -> float:
+def log_reg_gamma_q(n: int, a):
+    """log Q(n, a), finite for every finite a >= 0.
+
+    n must be a positive integer; a >= 0 (scalar or array-like, applied
+    elementwise).
+    """
+    if n < 1 or int(n) != n:
+        raise DomainError(f"reg_gamma_q requires integer n >= 1, got {n}")
+    if np.ndim(a) > 0:
+        arr = np.asarray(a, dtype=float)
+        flat = [log_reg_gamma_q(n, ai) for ai in arr.ravel().tolist()]
+        return np.array(flat, dtype=float).reshape(arr.shape)
+    a = float(a)
     if not a >= 0.0:   # also rejects NaN
         raise DomainError(f"reg_gamma_q requires a >= 0, got {a}")
     if a == 0.0:
-        return 1.0
+        return 0.0
     if a > n:
-        return _upper_tail_sum(n, a)
-    return min(1.0, max(0.0, 1.0 - _lower_series(n, a)))
+        return _upper_tail_sum(int(n), a)
+    return math.log1p(-_lower_series(int(n), a))   # P(n, a) < 0.64 for a <= n
 
 
 def reg_gamma_q(n: int, a) -> float:
@@ -113,25 +125,33 @@ def reg_gamma_q(n: int, a) -> float:
     n must be a positive integer; a >= 0 (scalar or array-like, applied
     elementwise).  Q(n, 0) = 1 and Q is monotone decreasing in a.
     """
-    if n < 1 or int(n) != n:
-        raise DomainError(f"reg_gamma_q requires integer n >= 1, got {n}")
-    n = int(n)
-    if np.ndim(a) > 0:
-        arr = np.asarray(a, dtype=float)
-        flat = [_q_scalar(n, ai) for ai in arr.ravel().tolist()]
-        return np.array(flat, dtype=float).reshape(arr.shape)
-    return _q_scalar(n, float(a))
+    log_q = log_reg_gamma_q(n, a)
+    return np.exp(log_q) if np.ndim(log_q) else math.exp(log_q)
 
 
 def log_gamma_upper(n: int, a: float) -> float:
-    """log of the (unregularized) upper incomplete gamma Gamma(n, a).
+    """log of the (unregularized) upper incomplete gamma Gamma(n, a); finite
+    for every finite a >= 0."""
+    return log_reg_gamma_q(n, a) + math.lgamma(n)
 
-    Returns -inf when the value underflows.
+
+def log_gamma_bracket(m: int, a):
+    """tau -> log B_m(a, tau), B_m = m Q_{m+1}(a) - a tau Q_m(a) =
+    [Gamma(m+1, a) - a tau Gamma(m, a)]/Gamma(m), positive for 0 <= tau <= 1.
+
+    Q is evaluated here, once per a (scalar or array; tau broadcasts against
+    it).  As log Q_m + log(m Q_{m+1}/Q_m - a tau) it stays finite where Q
+    underflows; it is -inf where the bracket rounds to <= 0.
     """
-    q = reg_gamma_q(n, a)
-    if q == 0.0:
-        return -math.inf
-    return math.log(q) + math.lgamma(n)
+    log_qm = log_reg_gamma_q(m, a)
+    ratio = m * np.exp(log_reg_gamma_q(m + 1, a) - log_qm)
+
+    def log_b(tau):
+        b = ratio - a * tau
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(b > 0.0, log_qm + np.log(b), -np.inf)
+
+    return log_b
 
 
 def _erfcx_cf(x: float) -> float:

@@ -108,6 +108,16 @@ class TestJpdReal:
             s = ar.jpd_real(80, 80.0, lam, form="sum")
             assert s == pytest.approx(g, rel=1e-12)
 
+    def test_gamma_form_past_the_edge(self):
+        # lambda^2 = 784 > n + 700: Q_n(lambda^2) underflows, the density does
+        # not until t ~ 30; where the sum form gives 0 the gamma form must too
+        t = np.geomspace(1e-3, 1e3, 13)
+        g = ar.jpd_real(6, t, 28.0)
+        s = ar.jpd_real(6, t, 28.0, form="sum")
+        assert g[0] > 0.0
+        for tk, gk, sk in zip(t, g, s):
+            assert gk == pytest.approx(sk, rel=5e-12), tk
+
 
 class TestDensityReal:
     def test_at_origin(self):
@@ -188,6 +198,21 @@ class TestCumulative:
                         assert abs(g - ref) <= 1e-12 * ref, (lam, t)
                     else:
                         assert 0.0 <= g <= sys.float_info.min, (lam, t)
+
+    def test_past_the_edge(self):
+        # lambda^2 past n + 700, where Q_n(lambda^2) itself underflows
+        ts = np.geomspace(1e-6, 1e12, 19)
+        with mpmath.workdps(50):
+            for n, lams in ((2, (28.0, 40.0, 60.0)), (6, (28.0, 40.0, 60.0)),
+                            (200, (48.0, 60.0, 80.0))):
+                for lam in lams:
+                    got = ar.jpd_real_cumulative(n, ts, lam)
+                    for t, g in zip(ts.tolist(), got):
+                        ref = self._reference(n, t, lam)
+                        if ref >= sys.float_info.min:
+                            assert abs(g - ref) <= 1e-12 * ref, (n, lam, t)
+                        else:
+                            assert g == 0.0, (n, lam, t)
 
     def test_tends_to_density(self):
         for n in (2, 6, 50, 200):

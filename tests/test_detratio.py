@@ -4,17 +4,163 @@ import numpy as np
 import pytest
 
 from ginibre_overlaps import analytic_complex, analytic_real, detratio, specfun
+from ginibre_overlaps.analytic_complex import _bracket
 from ginibre_overlaps.ensemble import EnsembleSpec, sample_ginibre_batch
 from ginibre_overlaps.errors import DomainError
-from ginibre_overlaps.quadrature import QuadSpec, integrate_finite, integrate_semi_infinite
+from ginibre_overlaps.quadrature import (
+    DEFAULT_SPEC, QuadSpec, integrate_finite, integrate_semi_infinite)
 
 # E[(lam - g)^2 / sqrt(2p + (lam - g)^2)], g ~ N(0,1): the n = 1 scalar case
 SCALAR_N1_P1_LAM0 = 0.481483566850590708
 SCALAR_N1_P1_LAM05 = 0.571947616622566531
 
+_LN2 = math.log(2.0)
+
 
 def _q(n, beta, L, z, p):
     return detratio.DetRatioQuery(n=n, beta=beta, L=L, z=z, p=p)
+
+
+# ---------------------------------------------------------------------------
+# reference: the closed forms as six separate integrands, each with its own
+# incomplete-gamma bracket in linear space (correct wherever Q does not
+# underflow), kept to check the single Laplace integrand of detratio_closed
+# ---------------------------------------------------------------------------
+
+def _ref_integrate_kernel(f, p: float, spec: QuadSpec, hint: float | None = None) -> float:
+    """Integrate f over (0, inf) with the variable rescaled by the e^{-pt}
+    kernel scale, so large p cannot hide the integrand from the first panels."""
+    scale = max(p, 1.0)
+
+    def g(s):
+        return f(s / scale) / scale
+
+    val, _ = integrate_semi_infinite(g, spec, singular_exponent_at_zero=hint)
+    return val
+
+
+def _ref_closed_real_l0(n: int, a: float, p: float, spec: QuadSpec) -> float:
+    ln_pref = -0.5 * n * _LN2 - specfun.log_gamma(0.5 * n)
+
+    def f(t):
+        log_tau = np.log(t) - np.log1p(t)
+        return np.exp(ln_pref - p * t - 0.5 * a * np.exp(log_tau)
+                      + 0.5 * n * log_tau - np.log(t))
+
+    hint = 0.5 * n - 1.0
+    return _ref_integrate_kernel(f, p, spec, hint=hint if hint < 0 else None)
+
+
+def _ref_closed_real_l2(n: int, a: float, p: float, spec: QuadSpec) -> float:
+    # bracket [Gamma(n+1,a) - a tau Gamma(n,a)] = Gamma(n) [n Q_{n+1} - a tau Q_n]
+    qn1 = specfun.reg_gamma_q(n + 1, a)
+    qn = specfun.reg_gamma_q(n, a)
+    ln_pref = specfun.log_gamma(float(n)) - 0.5 * n * _LN2 - specfun.log_gamma(0.5 * n)
+
+    def f(t):
+        tau = t / (1.0 + t)
+        bracket = np.maximum(n * qn1 - a * tau * qn, 0.0)
+        log_tau = np.log(t) - np.log1p(t)
+        with np.errstate(divide="ignore"):
+            return np.where(
+                bracket > 0.0,
+                np.exp(ln_pref - p * t + a * (1.0 - 0.5 * tau)
+                       + 0.5 * (n + 2) * log_tau - 2.0 * np.log(t)
+                       + np.log(np.maximum(bracket, 1e-300))),
+                0.0)
+
+    hint = 0.5 * (n - 2)
+    return _ref_integrate_kernel(f, p, spec, hint=hint if hint < 0 else None)
+
+
+def _ref_closed_complex_l0(n: int, a: float, p: float, spec: QuadSpec) -> float:
+    ln_pref = -specfun.log_gamma(float(n))
+
+    def f(t):
+        tau = t / (1.0 + t)
+        log_tau = np.log(t) - np.log1p(t)
+        return np.exp(ln_pref - p * t - a * tau + n * log_tau - np.log(t))
+
+    return _ref_integrate_kernel(f, p, spec)
+
+
+def _ref_closed_complex_l1(n: int, a: float, p: float, spec: QuadSpec) -> float:
+    # [Gamma(n+1,a) - a tau Gamma(n,a)]/(n-1)! in regularized form; the e^a
+    # prefactor combines with e^{-a tau} into the bounded e^{a/(1+t)}
+    qn1 = specfun.reg_gamma_q(n + 1, a)
+    qn = specfun.reg_gamma_q(n, a)
+
+    def f(t):
+        tau = t / (1.0 + t)
+        bracket = np.maximum(n * qn1 - a * tau * qn, 0.0)
+        log_tau = np.log(t) - np.log1p(t)
+        with np.errstate(divide="ignore"):
+            return np.where(
+                bracket > 0.0,
+                np.exp(-p * t + a / (1.0 + t) + n * log_tau - np.log(t) - np.log1p(t)
+                       + np.log(np.maximum(bracket, 1e-300))),
+                0.0)
+
+    return _ref_integrate_kernel(f, p, spec)
+
+
+def _ref_closed_complex_l2(n: int, a: float, p: float, spec: QuadSpec) -> float:
+    # coefficient bundle at order n+1; its normalization Gamma(n+1)Gamma(n)
+    # combines with the 1/(n-1)! prefactor into Gamma(n+1)
+    _, _, top, g1, g2, g3 = _bracket(n + 1, a)
+    ln_pref = specfun.log_gamma(n + 1.0) + 2.0 * a + top
+
+    def f(t):
+        om = 1.0 / (1.0 + t)
+        tau = t * om
+        bracket = g1 + g2 * om + g3 * om * om
+        log_tau = np.log(t) - np.log1p(t)
+        return np.exp(ln_pref - p * t - a * tau + n * log_tau - np.log(t)
+                      - 2.0 * np.log1p(t) + np.log(bracket))
+
+    return _ref_integrate_kernel(f, p, spec)
+
+
+def _ref_closed_complex_l2_zero(n: int, p: float, spec: QuadSpec) -> float:
+    ln_pref = math.log(n) + specfun.log_gamma(n + 2.0)
+
+    def f(t):
+        log_tau = np.log(t) - np.log1p(t)
+        return np.exp(ln_pref - p * t + n * log_tau - np.log(t) - 2.0 * np.log1p(t))
+
+    return _ref_integrate_kernel(f, p, spec)
+
+
+def _reference_closed(q, spec=DEFAULT_SPEC):
+    a = abs(complex(q.z)) ** 2
+    route = {(1, 0): _ref_closed_real_l0, (1, 2): _ref_closed_real_l2,
+             (2, 0): _ref_closed_complex_l0, (2, 1): _ref_closed_complex_l1,
+             (2, 2): _ref_closed_complex_l2}[(q.beta, q.L)]
+    return route(q.n, a, q.p, spec)
+
+
+class TestAgainstReference:
+    # n, the five pairs, |z| in the bulk and at the edge, p over six decades;
+    # p = 0 only for L >= 1, where the integral converges
+    GRID = [(n, beta, L, az, p)
+            for n in (1, 2, 3, 4, 6, 10, 30)
+            for beta, L in ((1, 0), (1, 2), (2, 0), (2, 1), (2, 2))
+            for az in (0.0, 0.7, 2.0, math.sqrt(n))
+            for p in (0.0, 0.1, 1.0, 5.0, 1e3, 1e5)
+            if p > 0.0 or L > 0]
+
+    def test_one_integrand_matches_six(self):
+        for case in self.GRID:
+            q = _q(*case)
+            assert detratio.detratio_closed(q) == pytest.approx(
+                _reference_closed(q), rel=1e-12), case
+
+    def test_zero_route_matches_reference(self):
+        for n in (1, 2, 3, 4, 6, 10, 30):
+            for p in (0.0, 0.1, 1.0, 5.0, 1e3, 1e5):
+                got = detratio.detratio_closed(_q(n, 2, 2, 0.0, p), route="zero")
+                assert got == pytest.approx(
+                    _ref_closed_complex_l2_zero(n, p, DEFAULT_SPEC), rel=1e-12), (n, p)
 
 
 class TestQueryValidation:
@@ -91,7 +237,7 @@ class TestClosedVsMc:
 class TestIdentities:
     def test_l1_at_p0_is_one(self):
         for n in (2, 5, 10):
-            for az in (0.0, 0.5 * math.sqrt(n), math.sqrt(n)):
+            for az in (0.0, 0.5 * math.sqrt(n), math.sqrt(n), 30.0):
                 q = _q(n, 2, 1, az, 0.0)
                 assert detratio.detratio_closed(q) == pytest.approx(1.0, abs=1e-8)
 
@@ -114,7 +260,7 @@ class TestIdentities:
             detratio.detratio_closed(_q(3, 2, 2, 1.0, 1.0), route="zero")
 
     def test_eks_value_matches_p0_quadrature(self):
-        for n, lam in ((3, 0.0), (4, 0.7), (6, 1.5)):
+        for n, lam in ((3, 0.0), (4, 0.7), (6, 1.5), (6, 28.0), (10, 40.0)):
             via_integral = detratio.detratio_closed(_q(n, 1, 2, lam, 0.0))
             assert detratio.detratio_real_l2_p0(n, lam) == pytest.approx(
                 via_integral, rel=1e-8)

@@ -63,6 +63,15 @@ class TestWindow:
         with pytest.raises(DomainError):
             mh.Window(kind=mh.ANNULUS, lo=-0.5, hi=1.0)
 
+    def test_non_finite_bounds(self):
+        # an infinite bound would reach the CDF's outer quadrature as NaN nodes
+        for kind, lo, hi in ((mh.REAL_INTERVAL, 0.0, math.inf),
+                             (mh.REAL_INTERVAL, -math.inf, 0.0),
+                             (mh.ANNULUS, 0.0, math.inf),
+                             (mh.REAL_INTERVAL, math.nan, 1.0)):
+            with pytest.raises(DomainError, match="window"):
+                mh.Window(kind=kind, lo=lo, hi=hi)
+
 
 class TestCampaign:
     def test_merge_is_exact(self):

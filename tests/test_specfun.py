@@ -92,6 +92,22 @@ class TestRegGammaQ:
                 assert abs(specfun.log_gamma_upper(n, a) - log_ref) <= 1e-12 * max(
                     1.0, abs(log_ref)), a
 
+    @pytest.mark.parametrize("n", [1, 2, 6, 50, 200, 201])
+    def test_log_against_mpmath(self, n):
+        # log Q stays a normal double where Q underflows (a past ~n + 700);
+        # the bound is on the error of the log, as for log_gamma_upper.  At
+        # the branch switch a = n the series' leading exponent n log a - a -
+        # log n! cancels to O(1) from O(n log n), so there it is 1e-12, as in
+        # test_against_mpmath
+        grid = [(float(a), 1e-13) for a in np.geomspace(1e-8, 1e4, 61)]
+        grid += [(n - 1e-9, 1e-12), (n + 1e-9, 1e-12)]
+        with mpmath.workdps(30):
+            for a, rel in grid:
+                ref = mpmath.log(mpmath.gammainc(n, a, mpmath.inf, regularized=True))
+                got = specfun.log_reg_gamma_q(n, a)
+                assert abs(got - ref) <= rel * max(1.0, abs(ref)), a
+        assert specfun.log_reg_gamma_q(n, 1e4) < -9000.0
+
     def test_domain(self):
         with pytest.raises(DomainError):
             specfun.reg_gamma_q(0, 1.0)
@@ -99,7 +115,7 @@ class TestRegGammaQ:
             specfun.reg_gamma_q(3, -0.1)
 
     def test_nan_argument(self):
-        from ginibre_overlaps import analytic_complex, analytic_real
+        from ginibre_overlaps import analytic_complex, analytic_real, detratio
         nan = float("nan")
         for call in (lambda: specfun.reg_gamma_q(6, nan),
                      lambda: specfun.log_gamma_upper(6, nan),
@@ -108,7 +124,19 @@ class TestRegGammaQ:
                      lambda: analytic_real.density_real(6, np.array([0.5, nan])),
                      lambda: analytic_complex.density_complex(6, nan),
                      lambda: analytic_complex.jpd_complex(6, 1.0, nan),
-                     lambda: specfun.log_lower_integral(1.5, nan, 0.5)):
+                     lambda: specfun.log_lower_integral(1.5, nan, 0.5),
+                     lambda: specfun.log_reg_gamma_q(6, nan),
+                     lambda: specfun.log_gamma_bracket(6, nan),
+                     lambda: detratio.DetRatioQuery(n=4, beta=2, L=1, z=0.5, p=nan),
+                     lambda: analytic_complex.sensitivity_density(2, nan, 0.0),
+                     lambda: analytic_real.jpd_real_bulk(1.0, nan),
+                     lambda: analytic_complex.jpd_complex_bulk(1.0, nan),
+                     lambda: analytic_real.jpd_real_edge(nan, 0.1),
+                     lambda: analytic_real.jpd_real_edge(1.0, nan),
+                     lambda: analytic_complex.jpd_complex_edge(nan, 0.1),
+                     lambda: analytic_complex.jpd_complex_edge(1.0, nan),
+                     lambda: analytic_real.density_real_edge(nan),
+                     lambda: analytic_complex.density_complex_edge(nan)):
             with pytest.raises(DomainError):
                 call()
 
