@@ -17,9 +17,10 @@ integer polynomials once per N and evaluates them as positive log-sums,
 which removes the catastrophic cancellation the naive gamma-product form
 suffers near a ~ N, at every N, with no extended precision needed.
 
-Under tau = t/(1+t) its integral over t is a sum of truncated gamma
-integrals (:func:`jpd_complex_cumulative`); over all t it gives back the
-mean eigenvalue density (1/pi) e^{-a} sum_{k<N} a^k/k!.  Bulk
+Under tau = t/(1+t) its integral over t is one truncated gamma integral
+with nonnegative weights on powers of 1 - tau (:func:`jpd_complex_cumulative`),
+a sum of positive terms; over all t it gives back the mean eigenvalue
+density (1/pi) e^{-a} sum_{k<N} a^k/k!.  Bulk
 (z = sqrt(N) w, t = N s) and edge (|z| = sqrt(N) + delta, t = sqrt(N) sigma)
 limits are in closed form, and the perturbation-sensitivity density is the
 Gaussian-kernel transform of P.
@@ -226,21 +227,15 @@ def jpd_complex_cumulative(n: int, t, z_abs_sq: float):
     """int_0^t P(u, z) du at one |z|^2 for t > 0 (scalar or array), n >= 2.
 
     Under tau = u/(1+u), P du = (e^{top+a}/pi) tau^{n-2} e^{-a tau} [g1 (1-tau)
-    + g2 (1-tau)^2 + g3 (1-tau)^3] dtau: expanded in powers of tau, a sum of
-    I_{n-1..n+2}(a, t/(1+t)) with alternating signs, which loses up to
-    log10((2n)^3) digits where the mass sits at tau near 1 (about 1e-10
-    relative at n = 200).  Tends to density_complex(n, a) as t -> inf.
+    + g2 (1-tau)^2 + g3 (1-tau)^3] dtau: one truncated gamma integral with
+    nonnegative weights on powers of 1 - tau.  Tends to density_complex(n, a)
+    as t -> inf.
     """
     n, a, top, g1, g2, g3 = _bracket(n, z_abs_sq)
     scalar = np.isscalar(t)
     tb = _as_t(t)
-    tau = tb / (1.0 + tb)
-    coef = (g1 + g2 + g3, -(g1 + 2.0 * g2 + 3.0 * g3), g2 + 3.0 * g3, -g3)
-    logs = [specfun.log_lower_integral(n - 1 + k, a, tau) for k in range(4)]
-    # I_{n-1} is the largest of the four (tau <= 1): scale by it
-    total = sum(c * np.exp(lk - logs[0]) for c, lk in zip(coef, logs))
-    with np.errstate(divide="ignore"):
-        out = np.exp(top + a - math.log(math.pi) + logs[0] + np.log(np.maximum(total, 0.0)))
+    log_i = specfun.log_lower_integral(n - 1, a, tb / (1.0 + tb), (0.0, g1, g2, g3))
+    out = np.exp(top + a - math.log(math.pi) + log_i)
     return float(out) if scalar else out
 
 
@@ -258,10 +253,7 @@ def jpd_complex_zero(n: int, t):
 
 def density_complex(n: int, z_abs_sq):
     """Mean eigenvalue density (1/pi) e^{-|z|^2} sum_{k<n} |z|^{2k}/k!, n >= 1."""
-    if int(n) != n or n < 1:
-        raise DomainError(f"matrix size must be an integer >= 1, got {n}")
-    q = specfun.reg_gamma_q(int(n), z_abs_sq)
-    return q / math.pi
+    return specfun.reg_gamma_q(_validate_n(n, minimum=1), z_abs_sq) / math.pi
 
 
 def jpd_complex_bulk(s, w_abs):
@@ -317,16 +309,21 @@ def sensitivity_density(n: int, w_abs_sq: float, z_abs_sq: float,
     perturbation of the matrix, at spectral location z.
 
     pi(w, z) = int_0^inf [N/(pi(1+t))] e^{-N|w|^2/(1+t)} P(t, z) dt; it
-    integrates over the w-plane to the mean eigenvalue density at z.
+    integrates over the w-plane to the mean eigenvalue density at z.  The
+    t-integral is taken in units of that density, rho(z), so that the
+    quadrature's absolute tolerance does not swamp small values.
     """
     n = _validate_n(n)
     w2 = float(w_abs_sq)
     if not w2 >= 0.0:   # also rejects NaN
         raise DomainError(f"|w|^2 must be >= 0, got {w_abs_sq}")
+    rho = density_complex(n, z_abs_sq)
+    if rho == 0.0:   # underflowed, and the density with it
+        return 0.0
 
     def integrand(t):
         om = 1.0 / (1.0 + t)
-        return n / math.pi * om * np.exp(-n * w2 * om) * jpd_complex(n, t, z_abs_sq)
+        return n / math.pi * om * np.exp(-n * w2 * om) * jpd_complex(n, t, z_abs_sq) / rho
 
     val, _ = integrate_semi_infinite(integrand, spec)
-    return val
+    return val * rho

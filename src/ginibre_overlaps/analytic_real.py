@@ -100,8 +100,8 @@ def jpd_real(n: int, t, lam, form: str = "gamma"):
     return _restore(out, shape, scalar)
 
 
-def jpd_real_cumulative(n: int, t, lam: float):
-    """int_0^t P(u, lambda) du at one lambda for t > 0 (scalar or array), n >= 2.
+def jpd_real_cumulative(n: int, t, lam):
+    """int_0^t P(u, lambda) du for t > 0 and lambda, which broadcast; n >= 2.
 
     Under tau = u/(1+u), P du = C0 e^{a/2} tau^{(n-3)/2} e^{-a tau/2}
     [(n-1) Q_n(a) - a tau Q_{n-1}(a)] dtau with a = lambda^2: two truncated
@@ -110,14 +110,15 @@ def jpd_real_cumulative(n: int, t, lam: float):
     lambda) as t -> inf.
     """
     n = _validate_n(n)
-    scalar = np.isscalar(t)
+    scalar = np.isscalar(t) and np.isscalar(lam)
     tb = _as_t(t)
-    a = float(lam) ** 2
+    a = np.asarray(lam, dtype=float) ** 2
     tau = tb / (1.0 + tb)
     log_pos = (math.log(n - 1) + specfun.log_reg_gamma_q(n, a)
                + specfun.log_lower_integral(0.5 * (n - 1), 0.5 * a, tau))
-    log_neg = (math.log(a) + specfun.log_reg_gamma_q(n - 1, a)
-               + specfun.log_lower_integral(0.5 * (n + 1), 0.5 * a, tau) if a > 0.0 else -np.inf)
+    with np.errstate(divide="ignore"):
+        log_neg = (np.log(a) + specfun.log_reg_gamma_q(n - 1, a)
+                   + specfun.log_lower_integral(0.5 * (n + 1), 0.5 * a, tau))
     out = np.exp(_LN_C0 + 0.5 * a + log_pos + np.log(-np.expm1(log_neg - log_pos)))
     return float(out) if scalar else out
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import specfun
 from .analytic_complex import _bracket
-from .analytic_real import _log_eks_integral
+from .analytic_real import _log_eks_integral, _validate_n
 from .ensemble import EnsembleSpec, sample_ginibre_batch
 from .errors import DomainError
 from .quadrature import DEFAULT_SPEC, QuadSpec, integrate_semi_infinite
@@ -57,8 +57,7 @@ class DetRatioQuery:
     p: float
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise DomainError(f"matrix size must be a positive integer, got {self.n}")
+        _validate_n(self.n, minimum=1)
         if (self.beta, self.L) not in _SUPPORTED:
             raise DomainError(f"unsupported (beta, L) = ({self.beta}, {self.L})")
         if self.beta == 1 and abs(complex(self.z).imag) > 0.0:
@@ -185,6 +184,8 @@ def detratio_closed(q: DetRatioQuery, spec: QuadSpec = DEFAULT_SPEC,
         return _laplace(p, math.log(n) + specfun.log_gamma(n + 2.0), 0.0, n - 1, 3, spec)
     if route != "general":
         raise DomainError(f"unknown route {route!r}")
+    if q.L == 0 and p == 0.0:
+        raise DomainError("D^(0) diverges at p = 0: the integrand falls like 1/t")
     if (q.beta, q.L) in ((1, 2), (2, 1)):
         log_b = specfun.log_gamma_bracket(n, a)
     if q.beta == 1:
@@ -210,8 +211,7 @@ def detratio_real_l2_p0(n: int, lam: float) -> float:
     (2/(2^{n/2} Gamma(n/2))) [e^{lam^2/2} Gamma(n, lam^2)
                               + |lam|^n int_0^{|lam|} e^{-u^2/2} u^{n-1} du]
     """
-    if int(n) != n or n < 1:
-        raise DomainError("n must be a positive integer")
+    n = _validate_n(n, minimum=1)
     lam = abs(float(lam))
     a = lam * lam
     ln_norm = _LN2 - 0.5 * n * _LN2 - specfun.log_gamma(0.5 * n)
@@ -226,8 +226,7 @@ def detratio_real_l2_p0(n: int, lam: float) -> float:
 def mean_det_sq_real(n: int, lam: float) -> float:
     """<det^2(lam I - G)> over the real Ginibre ensemble:
     lam^{2n} + e^{lam^2} n Gamma(n, lam^2), assembled in log space."""
-    if int(n) != n or n < 1:
-        raise DomainError("n must be a positive integer")
+    n = _validate_n(n, minimum=1)
     lam = abs(float(lam))
     a = lam * lam
     term2 = math.log(n) + a + specfun.log_gamma_upper(n, a)

@@ -277,12 +277,11 @@ def analytic_conditional_cdf(spec: EnsembleSpec, window: Window, t_grid) -> np.n
         raise DomainError("t_grid must be positive and increasing")
 
     nodes, weights, mass = _outer_nodes(window, spec)
+    if spec.beta == 1:
+        return weights @ analytic_real.jpd_real_cumulative(spec.n, t_grid, nodes[:, None]) / mass
     cdf = np.zeros(t_grid.size)
     for x, wgt in zip(nodes, weights):
-        if spec.beta == 1:
-            cdf += wgt * analytic_real.jpd_real_cumulative(spec.n, t_grid, x)
-        else:
-            cdf += wgt * analytic_complex.jpd_complex_cumulative(spec.n, t_grid, x * x)
+        cdf += wgt * analytic_complex.jpd_complex_cumulative(spec.n, t_grid, x * x)
     return cdf / mass
 
 

@@ -1,14 +1,15 @@
 """Special functions for the overlap densities: what :mod:`math` lacks.
 
 Log-gamma, erf and erfc come from :mod:`math` (``log_gamma`` only adds the
-x > 0 domain check).  This module adds the regularized upper incomplete
-gamma Q(n, a) of integer order, computed as log Q so that it stays finite
-where Q itself underflows (a past ~n + 700), accurate to ~1e-13 relative
-for n up to a few hundred; the bracket m Q_{m+1}(a) - a tau Q_m(a) that the
-real overlap density and two determinant ratios share, in the same log
-space; the scaled complementary error function erfcx; and the log of the
-truncated gamma integral int_0^T tau^{s-1} e^{-x tau} dtau, into which the
-overlap densities integrate under tau = t/(1+t).
+x > 0 domain check).  This module adds one series kernel, the log of the
+truncated gamma integral int_0^T tau^{s-1} e^{-x tau} sum_m c_m (1-tau)^m
+dtau with c_m >= 0, into which the overlap densities integrate under
+tau = t/(1+t); on it, the regularized upper incomplete gamma Q(n, a) of
+integer order, computed as log Q so that it stays finite where Q itself
+underflows (a past ~n + 700), accurate to ~1e-13 relative for n up to a few
+hundred; the bracket m Q_{m+1}(a) - a tau Q_m(a) that the real overlap
+density and two determinant ratios share, in the same log space; and the
+scaled complementary error function erfcx.
 """
 
 from __future__ import annotations
@@ -33,67 +34,53 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _upper_tail_sum(n: int, a: float) -> float:
-    """log Q(n, a) for a > n: the finite sum e^{-a} sum_{k<n} a^k/k! evaluated
-    from its largest term downward, with the common scale kept in log space."""
-    # largest term is k = n-1 because a^k/k! is increasing while k < a
-    log_top = -a + (n - 1) * math.log(a) - math.lgamma(n)
-    terms = [1.0]
-    for k in range(n - 1, 0, -1):
-        terms.append(terms[-1] * (k / a))
-        if terms[-1] < 1e-18:
-            break
-    return log_top + math.log(math.fsum(terms))
-
-
-def _lower_series(n: int, a: float) -> float:
-    """P(n, a) = gamma(n, a)/Gamma(n) by the ascending series; good for a <= n.
-
-    The scalar case of log_lower_integral (P = a^n I_n(a, 1)/Gamma(n)) as a
-    plain loop, about ten times faster per call than the numpy kernel."""
-    log_lead = n * math.log(a) - a - math.lgamma(n + 1.0)
-    terms = [1.0]
-    for j in range(1, 10_001):
-        terms.append(terms[-1] * (a / (n + j)))
-        if terms[-1] < 1e-17:
-            break
-    return math.exp(log_lead + math.log(math.fsum(terms)))
-
-
 _BLOCK = 32
 
 
-def log_lower_integral(s: float, x, T):
-    """log I_s(x, T) = log int_0^T tau^{s-1} e^{-x tau} dtau = log(x^{-s} gamma(s, xT)).
+def log_lower_integral(s: float, x, T, c=(1.0,)):
+    """log int_0^T tau^{s-1} e^{-x tau} sum_m c_m (1-tau)^m dtau, every c_m >= 0.
 
-    s > 0; x >= 0 (finite) and 0 < T <= 1 broadcast.  Sums the ascending
-    series T^s e^{-xT} sum_j (xT)^j / (s (s+1) ... (s+j)), whose terms are all
-    positive, as running products in blocks, rescaled between blocks so that
-    none overflows, until the tail past the peak (below a geometric series)
-    is under 1e-17 of the sum.
+    s > 0; x >= 0 (finite) and 0 < T <= 1 broadcast.  With tau = T u and
+    1 - tau = (1-T) + T(1-u) the integral is T^s sum_i w_i T^i J_i(xT), where
+    w_i = sum_{m>=i} c_m C(m,i) (1-T)^{m-i} and, by Kummer's transformation,
+    J_i(y) = int_0^1 u^{s-1} (1-u)^i e^{-yu} du = B(s,i+1) e^{-y} M(i+1, s+i+1, y).
+    Every term of every M is positive.  The series run together as running
+    products in blocks, rescaled between blocks so that none overflows, until
+    each tail past its peak (below a geometric series, as the term ratios
+    y (i+k)/((s+i+k) k) decrease in k) is under 1e-17 of its sum.
     """
     x = np.asarray(x, dtype=float)
     T = np.asarray(T, dtype=float)
-    if not (s > 0.0 and np.all(np.isfinite(x) & (x >= 0.0)) and np.all((T > 0.0) & (T <= 1.0))):
-        raise DomainError(f"log_lower_integral needs s > 0, finite x >= 0, 0 < T <= 1 (s = {s})")
-    y = x * T
-    total = np.ones(y.shape)        # sum_j y^j / ((s+1)...(s+j)) in units of e^{log_scale}
-    last = np.ones(y.shape)
-    log_scale = np.zeros(y.shape)
-    j = 1
+    if not (s > 0.0 and min(c) >= 0.0 and ((0.0 <= x) & (x < np.inf)).all()
+            and ((0.0 < T) & (T <= 1.0)).all()):
+        raise DomainError(f"log_lower_integral needs s > 0, c >= 0, finite x >= 0 "
+                          f"and 0 < T <= 1 (s = {s})")
+    i = np.arange(len(c))
+    j = np.arange(1, _BLOCK + 1)
+    y = (x * T)[..., None]
+    total = np.ones(y.shape[:-1] + i.shape)   # M(i+1, s+i+1, xT) in units of e^{log_scale}
+    last = total
+    log_scale = 0.0
+    k = 0
     while True:
-        run = last[..., None] * np.cumprod(y[..., None] / (s + np.arange(j, j + _BLOCK)), axis=-1)
-        total += run.sum(axis=-1)
+        ik = i[:, None] + k + j
+        run = last[..., None] * np.cumprod(y[..., None] / (s + ik) * (ik / (k + j)), axis=-1)
+        total = total + run.sum(axis=-1)
         last = run[..., -1]
-        j += _BLOCK
-        r = y / (s + j)             # the next ratio; later ones are smaller
-        if np.all((r < 1.0) & (last * r <= 1e-17 * (1.0 - r) * total)):
+        k += _BLOCK
+        r = y / (s + i + k + 1) * ((i + k + 1) / (k + 1))   # next ratios; later ones are smaller
+        if ((r < 1.0) & (last * r <= 1e-17 * (1.0 - r) * total)).all():
             break
-        scale = np.where(last > 1.0, last, 1.0)
-        total /= scale
-        last /= scale
-        log_scale += np.log(scale)
-    out = s * np.log(T) - y - math.log(s) + log_scale + np.log(total)
+        scale = np.maximum(last.max(axis=-1, keepdims=True), 1.0)
+        total = total / scale
+        last = last / scale
+        log_scale = log_scale + np.log(scale[..., 0])
+    # the docstring's w_i, times T^i and B(s, i+1) = i!/(s (s+1) ... (s+i))
+    binom = np.array([[math.comb(m, q) * c[m] for m in range(len(c))] for q in range(len(c))])
+    w = (binom * (1.0 - T)[..., None, None] ** np.maximum(i - i[:, None], 0)).sum(axis=-1)
+    weighted = w * T[..., None] ** i * np.cumprod(np.maximum(i, 1) / (s + i)) * total
+    with np.errstate(divide="ignore"):
+        out = s * np.log(T) - y[..., 0] + log_scale + np.log(weighted.sum(axis=-1))
     return float(out) if out.ndim == 0 else out
 
 
@@ -101,22 +88,27 @@ def log_reg_gamma_q(n: int, a):
     """log Q(n, a), finite for every finite a >= 0.
 
     n must be a positive integer; a >= 0 (scalar or array-like, applied
-    elementwise).
+    elementwise).  For a > n, log of e^{-a} sum_{k<n} a^k/k! from its largest term
+    down; for a <= n, log1p(-P) with P = a^n e^{log_lower_integral}/Gamma(n) < 0.64.
     """
     if n < 1 or int(n) != n:
         raise DomainError(f"reg_gamma_q requires integer n >= 1, got {n}")
-    if np.ndim(a) > 0:
-        arr = np.asarray(a, dtype=float)
-        flat = [log_reg_gamma_q(n, ai) for ai in arr.ravel().tolist()]
-        return np.array(flat, dtype=float).reshape(arr.shape)
-    a = float(a)
-    if not a >= 0.0:   # also rejects NaN
+    a = np.asarray(a, dtype=float)
+    if not (a >= 0.0).all():   # also rejects NaN
         raise DomainError(f"reg_gamma_q requires a >= 0, got {a}")
-    if a == 0.0:
-        return 0.0
-    if a > n:
-        return _upper_tail_sum(int(n), a)
-    return math.log1p(-_lower_series(int(n), a))   # P(n, a) < 0.64 for a <= n
+    out = np.empty(a.shape)
+    up = a > n
+    if up.any():
+        au = a[up]
+        # a^{k-1}/(k-1)! relative to the k = n-1 term, for k = n-1 .. 1
+        rest = np.cumprod(np.arange(n - 1, 0, -1) / au[:, None], axis=-1).sum(axis=-1)
+        out[up] = -au + (n - 1) * np.log(au) - math.lgamma(n) + np.log1p(rest)
+    if not up.all():
+        al = a[~up]
+        with np.errstate(divide="ignore"):
+            log_p = n * np.log(al) - math.lgamma(n) + log_lower_integral(n, al, 1.0)
+        out[~up] = np.log1p(-np.exp(log_p))
+    return float(out) if out.ndim == 0 else out
 
 
 def reg_gamma_q(n: int, a) -> float:
@@ -139,12 +131,13 @@ def log_gamma_bracket(m: int, a):
     """tau -> log B_m(a, tau), B_m = m Q_{m+1}(a) - a tau Q_m(a) =
     [Gamma(m+1, a) - a tau Gamma(m, a)]/Gamma(m), positive for 0 <= tau <= 1.
 
-    Q is evaluated here, once per a (scalar or array; tau broadcasts against
-    it).  As log Q_m + log(m Q_{m+1}/Q_m - a tau) it stays finite where Q
-    underflows; it is -inf where the bracket rounds to <= 0.
+    Q_m is evaluated here, once per a (scalar or array; tau broadcasts against
+    it), and Q_{m+1} = Q_m + e^{-a} a^m/m!.  As log Q_m + log(m Q_{m+1}/Q_m -
+    a tau) it stays finite where Q underflows; -inf where B rounds to <= 0.
     """
     log_qm = log_reg_gamma_q(m, a)
-    ratio = m * np.exp(log_reg_gamma_q(m + 1, a) - log_qm)
+    with np.errstate(divide="ignore"):
+        ratio = m + np.exp(m * np.log(a) - a - math.lgamma(m) - log_qm)
 
     def log_b(tau):
         b = ratio - a * tau

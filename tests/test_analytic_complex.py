@@ -126,13 +126,13 @@ class TestCumulative:
 
     @pytest.mark.parametrize("n", [2, 6, 30, 200])
     def test_against_mpmath(self, n):
-        # the same four-term sum of I_s(a, T) = a^{-s} gamma(s, aT) at 50
-        # digits, on the coefficients of _bracket.  The terms alternate in
-        # sign, so the error is bounded by the sum of their absolute values
-        # (up to (2n)^3 times the value where the mass sits at tau near 1;
-        # measured worst 1.3e-13 of that sum, and 8.7e-11 relative, at
-        # n = 200).  A value may be 0 only where the true one is below the
-        # double range.
+        # the four-term sum of I_s(a, T) = a^{-s} gamma(s, aT) at 50 digits,
+        # on the coefficients of _bracket.  The terms alternate in sign; the
+        # bounds were set for a float evaluation of that same sum (up to
+        # (2n)^3 times the value where the mass sits at tau near 1).  The
+        # positive kernel measures 1.8e-13 relative at worst, at n = 200.
+        # A value may be 0 only where the true one is below the double
+        # range.
         ts = np.geomspace(1e-6, 1e12, 19)
         with mpmath.workdps(50):
             for r in np.linspace(0.0, 2.0 * math.sqrt(n), 9).tolist():
@@ -152,6 +152,36 @@ class TestCumulative:
                     if ref >= sys.float_info.min:
                         assert abs(g - ref) <= 1e-12 * bound, (r, t)
                         assert abs(g - ref) <= 1e-9 * ref, (r, t)
+                    else:
+                        assert 0.0 <= g <= sys.float_info.min, (r, t)
+
+    @pytest.mark.parametrize("n", [30, 200])
+    def test_against_direct_quadrature(self, n):
+        # the positive tau-integrand (e^{top+a}/pi) tau^{n-2} e^{-a tau}
+        # [g1 (1-tau) + g2 (1-tau)^2 + g3 (1-tau)^3] by mpmath quad at 50
+        # digits, over tau = T u with the integrand divided by its peak
+        ts = np.geomspace(1e-2, 1e12, 8)
+        s = n - 1
+        with mpmath.workdps(50):
+            for r in np.linspace(0.0, 2.0 * math.sqrt(n), 5).tolist():
+                a = r * r
+                _, _, top, g1, g2, g3 = ac._bracket(n, a)
+                got = ac.jpd_complex_cumulative(n, ts, a)
+                for t, g in zip(ts.tolist(), got):
+                    T = mpmath.mpf(t) / (1 + mpmath.mpf(t))
+                    y = a * T
+                    peak = min((s - 1) / y, 1) if y > 0 else 1
+                    lpk = (s - 1) * mpmath.log(peak) - y * peak
+
+                    def f(u):
+                        om = 1 - T * u
+                        return mpmath.exp((s - 1) * mpmath.log(u) - y * u - lpk) * (
+                            g1 * om + g2 * om ** 2 + g3 * om ** 3)
+
+                    val = mpmath.quad(f, [0, peak, 1] if peak < 1 else [0, 1])
+                    ref = mpmath.exp(top + a + lpk) / mpmath.pi * T ** s * val
+                    if ref >= sys.float_info.min:
+                        assert abs(g - ref) <= 1e-12 * ref, (r, t)
                     else:
                         assert 0.0 <= g <= sys.float_info.min, (r, t)
 
@@ -278,6 +308,24 @@ class TestSensitivity:
 
     def test_frozen_point(self):
         assert ac.sensitivity_density(2, 0.09, 0.0) == pytest.approx(SENS_2_W03, rel=1e-9)
+
+    def test_against_tau_form(self):
+        # (n/pi^2) e^{top+x} [g1 J_2 + g2 J_3 + g3 J_4], x = |z|^2 - n|w|^2,
+        # J_i = B(n-1, i+1) M(n-1, n+i, -x), with mpmath hyp1f1 at 60 digits;
+        # the first three points lie far below the quadrature's abs_tol
+        points = [(100, 0.0, 400.0), (30, 0.0, 120.0), (30, 0.0, 400.0),
+                  (2, 0.0, 0.0), (6, 1.5, 2.0), (30, 0.5, 30.0), (30, 0.0, 30.0)]
+        with mpmath.workdps(60):
+            for n, w2, a in points:
+                _, _, top, g1, g2, g3 = ac._bracket(n, a)
+                x = mpmath.mpf(a) - n * mpmath.mpf(w2)
+                ref = n / mpmath.pi ** 2 * mpmath.exp(top + x) * sum(
+                    g * mpmath.beta(n - 1, i + 1) * mpmath.hyp1f1(n - 1, n + i, -x)
+                    for g, i in ((g1, 2), (g2, 3), (g3, 4)))
+                got = ac.sensitivity_density(n, w2, a)
+                assert abs(got - ref) <= 1e-12 * ref, (n, w2, a)
+        # past |z|^2 ~ n + 745 rho(z) itself underflows, and so does pi(w, z)
+        assert ac.sensitivity_density(6, 0.0, 900.0) == 0.0
 
     def test_w_normalization(self):
         # int pi(w, z) d^2w = rho(z): radial quadrature over |w|

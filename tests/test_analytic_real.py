@@ -214,6 +214,16 @@ class TestCumulative:
                         else:
                             assert g == 0.0, (n, lam, t)
 
+    def test_array_lambda_matches_scalar_loop(self):
+        ts = np.geomspace(1e-3, 1e6, 7)
+        lams = np.array([0.0, -0.4, 1.7, 2.9, 12.0, 30.0])
+        for n in (2, 6, 50):
+            got = ar.jpd_real_cumulative(n, ts, lams[:, None])
+            assert got.shape == (lams.size, ts.size)
+            for lam, row in zip(lams.tolist(), got):
+                ref = ar.jpd_real_cumulative(n, ts, lam)
+                assert row == pytest.approx(ref, rel=1e-14, abs=0.0), (n, lam)
+
     def test_tends_to_density(self):
         for n in (2, 6, 50, 200):
             for lam in np.linspace(0.0, 2.0 * math.sqrt(n), 7).tolist():

@@ -178,6 +178,13 @@ class TestQueryValidation:
         with pytest.raises(DomainError):
             _q(3, 2, 0, 0.0, -1.0)
 
+    def test_l0_diverges_at_p0(self):
+        # the L = 0 integrand falls like 1/t at p = 0
+        for case in ((30, 2, 0, 0.0, 0.0), (30, 1, 0, 0.0, 0.0),
+                     (10, 2, 0, 2.0, 0.0), (4, 2, 0, 0.0, 0.0)):
+            with pytest.raises(DomainError):
+                detratio.detratio_closed(_q(*case))
+
     def test_mc_needs_positive_p(self):
         with pytest.raises(DomainError):
             detratio.detratio_mc(_q(2, 2, 0, 0.0, 0.0), 5000)

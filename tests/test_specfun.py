@@ -108,6 +108,16 @@ class TestRegGammaQ:
                 assert abs(got - ref) <= rel * max(1.0, abs(ref)), a
         assert specfun.log_reg_gamma_q(n, 1e4) < -9000.0
 
+    def test_array_matches_scalar_calls(self):
+        # both branches (a <= n through the series kernel, a > n through the
+        # finite sum) in one array, including a = 0
+        a = np.array([[0.0, 1e-8, 3.0, 6.0], [6.5, 40.0, 199.0, 250.0]])
+        for n in (1, 6, 30, 200):
+            got = specfun.log_reg_gamma_q(n, a)
+            assert got.shape == a.shape
+            for ai, gi in zip(a.ravel().tolist(), got.ravel().tolist()):
+                assert gi == pytest.approx(specfun.log_reg_gamma_q(n, ai), rel=1e-15), (n, ai)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             specfun.reg_gamma_q(0, 1.0)
@@ -161,6 +171,35 @@ class TestLogLowerIntegral:
                                - s * mpmath.log(x))
                     assert abs(gi - ref) <= 1e-13 * max(1.0, abs(ref)), (x, Ti)
 
+    @staticmethod
+    def _log_quad(s, x, T, c):
+        # s log T + log int_0^1 u^{s-1} e^{-xTu} sum_m c_m (1 - Tu)^m du by
+        # mpmath quad, the integrand divided by its peak (quad's tolerance is
+        # absolute, so a tiny integrand would stop it at the first level)
+        s, y, T = mpmath.mpf(s), mpmath.mpf(x) * T, mpmath.mpf(T)
+        peak = min((s - 1) / y, 1) if y > 0 and s > 1 else 1
+        top = (s - 1) * mpmath.log(peak) - y * peak if s > 1 else 0
+
+        def f(u):
+            return mpmath.exp((s - 1) * mpmath.log(u) - y * u - top) * sum(
+                cm * (1 - T * u) ** m for m, cm in enumerate(c))
+
+        pts = [0, peak, 1] if peak < 1 else [0, 1]
+        return s * mpmath.log(T) + top + mpmath.log(mpmath.quad(f, pts))
+
+    @pytest.mark.parametrize("s", [0.5, 1.5, 29.0, 199.0])
+    def test_weights_against_mpmath_quad(self, s):
+        # nonnegative weights on (1 - tau)^m, with and without c_0, against a
+        # direct quadrature at 50 digits; the bound is on the error of the log
+        T = np.array([1e-6, 0.3, 0.999, 1.0])
+        with mpmath.workdps(50):
+            for c in ((0.0, 1.0, 2.5, 0.3), (2.0, 0.0, 0.0, 1e-3)):
+                for x in (0.0, 0.7, 30.0, 250.0):
+                    got = specfun.log_lower_integral(s, x, T, c)
+                    for Ti, gi in zip(T.tolist(), got):
+                        ref = self._log_quad(s, x, Ti, c)
+                        assert abs(gi - ref) <= 1e-13 * max(1.0, abs(ref)), (c, x, Ti)
+
     def test_broadcast_and_scalar(self):
         x = np.array([[0.5], [40.0]])
         T = np.array([0.2, 1.0])
@@ -187,6 +226,8 @@ class TestLogLowerIntegral:
                         (1.0, 1.0, math.nan)):
             with pytest.raises(DomainError):
                 specfun.log_lower_integral(s, x, T)
+        with pytest.raises(DomainError):
+            specfun.log_lower_integral(1.0, 1.0, 0.5, (1.0, -0.5))
 
 
 class TestErfFamily:
