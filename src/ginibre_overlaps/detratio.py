@@ -23,13 +23,19 @@ and om = 1/(1+t) = 1 - tau (lnG = log Gamma):
 
 where B_n = n Q_{n+1}(a) - a tau Q_n(a) (specfun.log_gamma_bracket), and
 top, g1..g3 are the complex density's bracket at order n+1.  It is
-evaluated by adaptive quadrature.  A brute-force Monte Carlo estimator built
-on the singular values of z - G, accumulated in log space so determinants
-never overflow, is the oracle that validates the closed forms.
+evaluated by adaptive quadrature.
+
+A brute-force Monte Carlo estimator is the oracle that validates the closed
+forms.  Per matrix A = z - G it takes log|det A| and log det(qI + A^H A),
+q = 2p/beta, from one Gram product A^H A, one slogdet of A (if L > 0) and
+one slogdet per shift; where the Gram rounding bound exceeds
+_GRAM_LOGDET_TOL (huge |z|, tiny p) it takes the singular values of A.
+Values are accumulated in log space, so determinants never overflow.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -44,6 +50,13 @@ from .quadrature import DEFAULT_SPEC, QuadSpec, integrate_semi_infinite
 
 _SUPPORTED = {(1, 0), (1, 2), (2, 0), (2, 1), (2, 2)}
 _LN2 = math.log(2.0)
+
+# Rounding the Gram product moves each entry by |dG_ij| <~ n eps |a_i| |a_j|
+# (a_i the columns of A), and ||(qI + A^H A)^{-1}|| <= 1/q, so
+# log det(qI + A^H A) moves by about n eps tr(A^H A) / q.  Where that bound
+# exceeds this tolerance the matrix goes through the SVD, whose error in
+# log(q + s^2) is only ~eps ||A|| / sqrt(q).
+_GRAM_LOGDET_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -62,19 +75,37 @@ class DetRatioQuery:
             raise DomainError(f"unsupported (beta, L) = ({self.beta}, {self.L})")
         if self.beta == 1 and abs(complex(self.z).imag) > 0.0:
             raise DomainError("beta = 1 requires a real spectral parameter z")
-        if not self.p >= 0.0:   # also rejects NaN
-            raise DomainError("shift p must be >= 0")
+        if not cmath.isfinite(complex(self.z)):
+            raise DomainError(f"spectral parameter z must be finite, got {self.z}")
+        if not 0.0 <= self.p < math.inf:   # also rejects NaN
+            raise DomainError(f"shift p must be finite and >= 0, got {self.p}")
 
 
 # ---------------------------------------------------------------------------
 # Monte Carlo estimator
 # ---------------------------------------------------------------------------
 
-def _sample_log_values(q: DetRatioQuery, svals: np.ndarray) -> np.ndarray:
-    logs = np.log(svals)
-    if q.beta == 1:
-        return q.L * logs.sum(axis=1) - 0.5 * np.log(2.0 * q.p + svals**2).sum(axis=1)
-    return 2 * q.L * logs.sum(axis=1) - np.log(q.p + svals**2).sum(axis=1)
+def _sample_log_values(a: np.ndarray, beta: int, L: int, shifts) -> list:
+    """beta L log|det A| - (beta/2) log det(qI + A^H A) for every matrix A of
+    the stack a, one array per shift q; a matrix with n eps tr(A^H A) / min(q)
+    above _GRAM_LOGDET_TOL takes its singular values instead of the Gram route."""
+    cnt, n, _ = a.shape
+    gram = np.matmul(a.transpose(0, 2, 1) if beta == 1 else a.conj().transpose(0, 2, 1), a)
+    trace = gram.reshape(cnt, n * n)[:, ::n + 1].real.sum(axis=1)
+    svd_rows = np.flatnonzero(n * np.finfo(float).eps * trace > _GRAM_LOGDET_TOL * min(shifts))
+    log_abs_det = beta * L * np.linalg.slogdet(a)[1] if L else 0.0
+    shifted = np.empty_like(gram)
+    out = []
+    for q in shifts:
+        np.copyto(shifted, gram)
+        shifted.reshape(cnt, n * n)[:, ::n + 1] += q
+        out.append(log_abs_det - 0.5 * beta * np.linalg.slogdet(shifted)[1])
+    if svd_rows.size:
+        svals = np.linalg.svd(a[svd_rows], compute_uv=False)
+        logs = np.log(svals).sum(axis=1)
+        for q, vals in zip(shifts, out):
+            vals[svd_rows] = beta * L * logs - 0.5 * beta * np.log(q + svals**2).sum(axis=1)
+    return out
 
 
 def _merge_moments(a, b):
@@ -94,7 +125,8 @@ def _merge_moments(a, b):
 def detratio_mc_sweep(n: int, beta: int, L: int, z, p_values, n_samples: int, *,
                       seed: int = 0, chunk: int = 65536):
     """MC means/stderrs of D^{(L)}_{n,beta}(z, p) for several p from one
-    matrix stream (the singular values are shared across the sweep).
+    matrix stream (the Gram product, log|det A| and any fallback singular
+    values are shared across the sweep; see _sample_log_values).
 
     Each chunk's values are exponentiated after shifting their logs by the
     chunk maximum, and chunk moments merge by Chan's update, so neither the
@@ -106,17 +138,18 @@ def detratio_mc_sweep(n: int, beta: int, L: int, z, p_values, n_samples: int, *,
             raise DomainError("Monte Carlo estimation requires p > 0")
     if n_samples < 1000:
         raise DomainError("need at least 1e3 samples for a meaningful estimate")
+    if chunk < 1:
+        raise DomainError(f"chunk must be >= 1, got {chunk}")
     spec = EnsembleSpec(n=n, beta=beta, seed=seed)
     acc = [None for _ in p_values]
-    zc = complex(z)
-    eye = np.eye(n)
+    zc = complex(z) if beta == 2 else complex(z).real
+    shifts = [2.0 * p if beta == 1 else p for p in p_values]   # q = 2p / beta
     for lo in range(0, n_samples, chunk):
         cnt = min(chunk, n_samples - lo)
-        mats = sample_ginibre_batch(spec, lo, cnt)
-        shifted = (zc * eye)[None, :, :] - mats if beta == 2 else (zc.real * eye)[None, :, :] - mats
-        svals = np.linalg.svd(shifted, compute_uv=False)
-        for i, q in enumerate(queries):
-            logs = _sample_log_values(q, svals)
+        a = sample_ginibre_batch(spec, lo, cnt)
+        np.negative(a, out=a)
+        a.reshape(cnt, n * n)[:, ::n + 1] += zc     # a = z I - G, in place
+        for i, logs in enumerate(_sample_log_values(a, beta, L, shifts)):
             top = float(logs.max())
             vals = np.exp(logs - top)
             mean = float(vals.mean())

@@ -174,12 +174,18 @@ def _campaign_range(spec: EnsembleSpec, start: int, stop: int, window: Window,
                                 n_matrices=stop - start, n_rejected=rejected, spec=spec)
 
 
+def _validate_counts(n_matrices: int, chunk: int) -> None:
+    if n_matrices < 1:
+        raise DomainError("n_matrices must be >= 1")
+    if chunk < 1:
+        raise DomainError(f"chunk must be >= 1, got {chunk}")
+
+
 def collect_overlaps(spec: EnsembleSpec, n_matrices: int, window: Window, *,
                      start_index: int = 0, chunk: int = 4096) -> np.ndarray:
     """Raw windowed overlap values (for moment estimates rather than
     histograms).  Same selection rules and determinism as run_campaign."""
-    if n_matrices < 1:
-        raise DomainError("n_matrices must be >= 1")
+    _validate_counts(n_matrices, chunk)
     pieces = [ts for ts, _ in _windowed_chunks(spec, start_index, start_index + n_matrices,
                                                window, chunk) if ts.size]
     if not pieces:
@@ -196,8 +202,7 @@ def run_campaign(spec: EnsembleSpec, n_matrices: int, window: Window, *,
     threads only affect speed.  Raises EmptyWindowError when no eigenvalue
     lands in the window.
     """
-    if n_matrices < 1:
-        raise DomainError("n_matrices must be >= 1")
+    _validate_counts(n_matrices, chunk)
     edges = default_bin_edges(spec.n) if bin_edges is None else np.asarray(bin_edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0) or edges[0] <= 0:
         raise DomainError("bin edges must be a strictly increasing positive sequence")

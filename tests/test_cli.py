@@ -125,6 +125,12 @@ class TestDetratioCommand:
         assert dispatch(["detratio", "--beta", "1", "--L", "1", "--n", "4",
                          "--p", "1"]) == 1
 
+    def test_non_finite_z_exit_1(self, capsys):
+        assert dispatch(["detratio", "--beta", "2", "--L", "1", "--n", "4",
+                         "--abs-z", "nan", "--p", "1", "--mc", "2000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestMetadata:
     def test_verify_roundtrip(self, tmp_path):

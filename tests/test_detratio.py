@@ -189,6 +189,20 @@ class TestQueryValidation:
         with pytest.raises(DomainError):
             detratio.detratio_mc(_q(2, 2, 0, 0.0, 0.0), 5000)
 
+    @pytest.mark.parametrize("beta,L", [(1, 2), (2, 1)])
+    @pytest.mark.parametrize("z,p", [(math.nan, 1.0), (math.inf, 1.0),
+                                     (complex(math.nan, 0.0), 1.0), (0.5, math.inf)])
+    def test_non_finite_z_and_p(self, beta, L, z, p):
+        with pytest.raises(DomainError):
+            detratio.detratio_closed(_q(4, beta, L, z, p))
+        with pytest.raises(DomainError):
+            detratio.detratio_mc_sweep(4, beta, L, z, [p], 2000)
+
+    @pytest.mark.parametrize("chunk", [0, -5])
+    def test_chunk_below_one(self, chunk):
+        with pytest.raises(DomainError):
+            detratio.detratio_mc_sweep(4, 2, 1, 0.5, [1.0], 2000, chunk=chunk)
+
 
 class TestScalarOracle:
     def test_n1_against_gaussian_quadrature(self):
@@ -239,6 +253,92 @@ class TestClosedVsMc:
         for (m1, s1), (m2, s2) in zip(one, two):
             assert m2 == pytest.approx(m1, rel=1e-12)
             assert s2 == pytest.approx(s1, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# reference: the Monte Carlo accumulation on the singular values of z - G, as
+# detratio_mc_sweep computed every matrix before the Gram/slogdet route
+# ---------------------------------------------------------------------------
+
+def _ref_svd_sweep(n, beta, L, z, p_values, n_samples, seed):
+    spec = EnsembleSpec(n=n, beta=beta, seed=seed)
+    mats = sample_ginibre_batch(spec, 0, n_samples)
+    zc = complex(z)
+    eye = np.eye(n)
+    shifted = (zc * eye)[None, :, :] - mats if beta == 2 else (zc.real * eye)[None, :, :] - mats
+    svals = np.linalg.svd(shifted, compute_uv=False)
+    logs = np.log(svals)
+    out = []
+    for p in p_values:
+        if beta == 1:
+            vals = L * logs.sum(axis=1) - 0.5 * np.log(2.0 * p + svals**2).sum(axis=1)
+        else:
+            vals = 2 * L * logs.sum(axis=1) - np.log(p + svals**2).sum(axis=1)
+        top = float(vals.max())
+        vals = np.exp(vals - top)
+        mean = float(vals.mean())
+        m2 = float(((vals - mean) ** 2).sum())
+        try:
+            scale = math.exp(top)
+        except OverflowError:
+            out.append(None)
+            continue
+        out.append((mean * scale, math.sqrt(m2 / (n_samples - 1) / n_samples) * scale))
+    return out
+
+
+def _count_svd_rows(monkeypatch):
+    rows = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        rows.append(a.shape[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return rows
+
+
+class TestGramRoute:
+    @pytest.mark.parametrize("n", [1, 4, 30])
+    @pytest.mark.parametrize("beta,L", [(1, 0), (1, 2), (2, 0), (2, 1), (2, 2)])
+    def test_matches_svd_reference(self, n, beta, L):
+        zs = (0.7, 3.0, 1e12) if beta == 1 else (0.7, 0.5 + 0.4j, 3.0, 1e12)
+        for z in zs:
+            # p = 1e-8 on its own: in one sweep it would send every matrix
+            # through the SVD fallback at 0.5 and 5 too
+            for ps in ([0.5, 5.0], [1e-8]):
+                ref = _ref_svd_sweep(n, beta, L, z, ps, 1000, seed=5)
+                if None in ref:
+                    with pytest.raises(DomainError):
+                        detratio.detratio_mc_sweep(n, beta, L, z, ps, 1000, seed=5)
+                    continue
+                got = detratio.detratio_mc_sweep(n, beta, L, z, ps, 1000, seed=5)
+                for (m_ref, s_ref), (m, s) in zip(ref, got):
+                    assert m == pytest.approx(m_ref, rel=1e-12), (z, ps)
+                    # a per-sample change of a few ulps moves the stderr by
+                    # about that much of the values, which is more than 1e-12
+                    # of it where the values barely vary (n = 1, p = 1e-8)
+                    assert s == pytest.approx(s_ref, rel=1e-12, abs=1e-14 * m_ref), (z, ps)
+
+    def test_fallback_runs_where_the_gram_bound_fails(self, monkeypatch):
+        rows = _count_svd_rows(monkeypatch)
+        detratio.detratio_mc_sweep(4, 2, 1, 0.7, [1e-8], 2000, seed=5)
+        assert sum(rows) == 2000
+        rows.clear()
+        detratio.detratio_mc_sweep(8, 2, 2, 1e12, [1.0], 1000, seed=1)
+        assert sum(rows) == 1000
+        rows.clear()
+        # n = 1: only matrices with |z - g|^2 below ~4.5e-3 keep the Gram route
+        detratio.detratio_mc_sweep(1, 2, 1, 0.5 + 0.4j, [1e-8], 2000, seed=5)
+        assert 0 < sum(rows) < 2000
+
+    def test_no_fallback_at_oracle_inputs(self, monkeypatch):
+        rows = _count_svd_rows(monkeypatch)
+        for beta, L in ((1, 0), (1, 2), (2, 0), (2, 1), (2, 2)):
+            z = 0.7 if beta == 1 else 0.5 + 0.4j
+            detratio.detratio_mc_sweep(4, beta, L, z, [0.5, 1.0, 5.0], 8192, seed=41)
+        assert rows == []
 
 
 class TestIdentities:

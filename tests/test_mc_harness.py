@@ -122,6 +122,15 @@ class TestCampaign:
         with pytest.raises(DomainError):
             mh.analytic_conditional_cdf(spec, win, hist.bin_edges)
 
+    @pytest.mark.parametrize("chunk", [0, -5])
+    def test_chunk_below_one(self, chunk):
+        spec = EnsembleSpec(n=4, beta=2, seed=11)
+        win = mh.Window(kind=mh.ANNULUS, lo=0.0, hi=1.2)
+        with pytest.raises(DomainError):
+            mh.run_campaign(spec, 100, win, chunk=chunk)
+        with pytest.raises(DomainError):
+            mh.collect_overlaps(spec, 100, win, chunk=chunk)
+
     def test_collect_overlaps_matches_histogram(self):
         spec = EnsembleSpec(n=4, beta=2, seed=11)
         win = mh.Window(kind=mh.ANNULUS, lo=0.0, hi=1.2)
