@@ -88,23 +88,31 @@ class DetRatioQuery:
 def _sample_log_values(a: np.ndarray, beta: int, L: int, shifts) -> list:
     """beta L log|det A| - (beta/2) log det(qI + A^H A) for every matrix A of
     the stack a, one array per shift q; a matrix with n eps tr(A^H A) / min(q)
-    above _GRAM_LOGDET_TOL takes its singular values instead of the Gram route."""
+    above _GRAM_LOGDET_TOL takes its singular values, and only the others
+    take the Gram route."""
     cnt, n, _ = a.shape
-    gram = np.matmul(a.transpose(0, 2, 1) if beta == 1 else a.conj().transpose(0, 2, 1), a)
-    trace = gram.reshape(cnt, n * n)[:, ::n + 1].real.sum(axis=1)
-    svd_rows = np.flatnonzero(n * np.finfo(float).eps * trace > _GRAM_LOGDET_TOL * min(shifts))
-    log_abs_det = beta * L * np.linalg.slogdet(a)[1] if L else 0.0
+    parts = a.reshape(cnt, n * n).view(float)    # real (and imaginary) parts
+    trace = np.einsum("ij,ij->i", parts, parts)  # tr(A^H A), no temporary
+    fallback = n * np.finfo(float).eps * trace > _GRAM_LOGDET_TOL * min(shifts)
+    has_fallback = bool(fallback.any())
+    kept = a[~fallback] if has_fallback else a
+    gram = np.matmul(kept.transpose(0, 2, 1) if beta == 1 else kept.conj().transpose(0, 2, 1),
+                     kept)
+    log_abs_det = beta * L * np.linalg.slogdet(kept)[1] if L else 0.0
     shifted = np.empty_like(gram)
     out = []
     for q in shifts:
         np.copyto(shifted, gram)
-        shifted.reshape(cnt, n * n)[:, ::n + 1] += q
+        shifted.reshape(len(kept), n * n)[:, ::n + 1] += q
         out.append(log_abs_det - 0.5 * beta * np.linalg.slogdet(shifted)[1])
-    if svd_rows.size:
-        svals = np.linalg.svd(a[svd_rows], compute_uv=False)
+    if has_fallback:
+        svals = np.linalg.svd(a[fallback], compute_uv=False)
         logs = np.log(svals).sum(axis=1)
-        for q, vals in zip(shifts, out):
-            vals[svd_rows] = beta * L * logs - 0.5 * beta * np.log(q + svals**2).sum(axis=1)
+        for i, q in enumerate(shifts):
+            vals = np.empty(cnt)
+            vals[~fallback] = out[i]
+            vals[fallback] = beta * L * logs - 0.5 * beta * np.log(q + svals**2).sum(axis=1)
+            out[i] = vals
     return out
 
 

@@ -23,11 +23,15 @@ variates; beta = 2 draws 2 n^2 variates, the first n^2 forming the real
 part and the rest the imaginary part, scaled by 1/sqrt(2) so that
 E|G_jk|^2 = 1.
 
-Overlaps are computed by two independent routes: right eigenvectors from
-the dense nonsymmetric eigendecomposition with left eigenvectors as rows
-of the inverse eigenvector matrix (enforcing bi-orthonormality), and a
-partial Schur reduction that isolates one real eigenvalue and solves a
-shifted linear system for the coupling vector.
+Overlaps are computed by two independent reference routes: right
+eigenvectors from the dense nonsymmetric eigendecomposition with left
+eigenvectors as rows of the inverse eigenvector matrix (enforcing
+bi-orthonormality), and a partial Schur reduction that isolates one real
+eigenvalue and solves a shifted linear system for the coupling vector.
+Campaigns take a third route that, like the paper, conditions on one
+eigenvalue at a time: given an eigenvalue lam of G (from the eigenvalues
+alone), one bordered solve yields its right and left eigenvectors, and no
+other eigenvector of G is formed (_overlaps_bordered).
 """
 
 from __future__ import annotations
@@ -229,8 +233,7 @@ def _overlaps_core(mats: np.ndarray):
     t = o_diag - 1.0
 
     norm_g = np.sqrt((np.abs(mats) ** 2).sum(axis=(1, 2)))
-    resid = np.abs(np.einsum("bij,bjk->bik", mats.astype(v.dtype), v)
-                   - w[:, None, :] * v)
+    resid = np.abs(mats @ v - w[:, None, :] * v)
     resid = np.sqrt((resid ** 2).real.sum(axis=1)) / np.maximum(norm_g[:, None], 1e-300)
 
     finite = np.isfinite(t).all(axis=1) & np.isfinite(w).all(axis=1)
@@ -240,6 +243,74 @@ def _overlaps_core(mats: np.ndarray):
           & (resid.max(axis=1) <= RESIDUAL_TOLERANCE))
     np.clip(t, 0.0, None, out=t)
     return w, t, resid, ok
+
+
+def _solve_or_nan(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve over a stack of systems, NaN for each exactly singular one."""
+    try:
+        return np.linalg.solve(m, b)
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan, dtype=np.result_type(m, b))
+        for i in range(len(m)):
+            try:
+                x[i] = np.linalg.solve(m[i], b[i])
+            except np.linalg.LinAlgError:
+                pass
+        return x
+
+
+def _bordered_pass(g: np.ndarray, lam: np.ndarray):
+    """t and the check flags of eigenvalue lam[k] of matrix g[k], every k."""
+    count, n, _ = g.shape
+    m = np.zeros((count, n + 1, n + 1), dtype=lam.dtype)
+    shifted = m[:, :n, :n]
+    shifted[...] = g
+    diag = np.arange(n)
+    shifted[:, diag, diag] -= lam[:, None]
+    m[:, :n, n] = m[:, n, :n] = 1.0
+    e = np.zeros((count, n + 1, 1), dtype=lam.dtype)
+    e[:, n] = 1.0
+    # r: last column of M^-1; u: its last row transposed, so l = conj(u)
+    r = _solve_or_nan(m, e)[:, :n, 0]
+    u = _solve_or_nan(m.transpose(0, 2, 1), e)[:, :n, 0]
+    rr = (np.abs(r) ** 2).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        o_diag = rr * (np.abs(u) ** 2).sum(axis=1) / np.abs(np.einsum("bi,bi->b", u, r)) ** 2
+    t = o_diag - 1.0
+    resid = np.linalg.norm(np.matmul(shifted, r[..., None])[..., 0], axis=1)
+    ok = (np.isfinite(t)
+          & (t >= -T_NEGATIVE_TOLERANCE)
+          & (o_diag <= OVERLAP_REJECT_THRESHOLD)
+          & (resid <= RESIDUAL_TOLERANCE * np.linalg.norm(g, axis=(1, 2)) * np.sqrt(rr)))
+    return t, ok
+
+
+def _overlaps_bordered(mats: np.ndarray, rows: np.ndarray, lam: np.ndarray):
+    """Self-overlap t of eigenvalue lam[k] of matrix mats[rows[k]], for every k.
+
+    M = [[G - lam I, 1], [1^T, 0]] stays nonsingular for a simple eigenvalue
+    even when G - lam I is exactly singular: the last column of M^-1 is a
+    right eigenvector r, its last row a left one l^H, and
+    t = |r|^2 |l|^2 / |l^H r|^2 - 1.  Returns (t, ok), ok flagging the values
+    that pass the checks of _overlaps_core: finite, t >= -T_NEGATIVE_TOLERANCE,
+    O below OVERLAP_REJECT_THRESHOLD and |(G - lam) r| <= RESIDUAL_TOLERANCE
+    |G| |r|; an exactly singular M gives t = NaN.
+
+    Pairs are solved in passes of at most len(mats).  An eigenvalue of a real
+    matrix whose imaginary part is exactly 0 takes real arithmetic, any other
+    complex, so each t is a function of its own matrix and eigenvalue only.
+    """
+    t = np.full(len(rows), np.nan)
+    ok = np.zeros(len(rows), dtype=bool)
+    real = np.isrealobj(mats) & (np.imag(lam) == 0.0)
+    step = max(len(mats), 1)
+    for group, values in ((real, np.real(lam)), (~real, lam.astype(complex))):
+        pairs = np.flatnonzero(group)
+        for lo in range(0, pairs.size, step):
+            k = pairs[lo:lo + step]
+            t[k], ok[k] = _bordered_pass(mats[rows[k]], values[k])
+    np.clip(t, 0.0, None, out=t)
+    return t, ok
 
 
 def overlaps_biorthogonal(g: np.ndarray, *, matrix_index: int = 0,

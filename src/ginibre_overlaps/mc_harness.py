@@ -4,8 +4,11 @@ statistical comparison against the closed-form densities.
 A campaign samples matrices index 0..n-1 from the deterministic stream,
 keeps eigenvalues inside a window (an interval on the real axis for real
 eigenvalues, or an annulus for complex ones), and log-bins the overlap
-variable t.  Histograms from disjoint index ranges merge exactly, so a
-run sharded over threads reproduces the single-threaded counts bit for bit.
+variable t.  Only the windowed eigenvalues get an overlap: the eigenvalues
+come without eigenvectors, and each windowed one takes one bordered solve
+(ensemble._overlaps_bordered).  Histograms from disjoint index ranges merge
+exactly, so a run sharded over threads reproduces the single-threaded
+counts bit for bit.
 
 The analytic side of a comparison is the conditional law of t given that
 the eigenvalue falls in the window:
@@ -29,7 +32,7 @@ import numpy as np
 from . import analytic_complex, analytic_real
 from .ensemble import (
     EnsembleSpec,
-    _overlaps_core,
+    _overlaps_bordered,
     default_real_tolerance,
     near_real,
     sample_ginibre_batch,
@@ -84,7 +87,12 @@ class ConditionedHistogram:
     """Mergeable log-binned histogram of t, conditioned on the window.
 
     Samples below/above the edge range are tracked separately so that
-    underflow + sum(counts) + overflow == n_samples exactly.
+    underflow + sum(counts) + overflow == n_samples exactly.  n_rejected
+    counts the matrices left out: those with a non-finite eigenvalue or
+    with a windowed eigenvalue whose overlap fails a check (non-finite,
+    t < -T_NEGATIVE_TOLERANCE, O > OVERLAP_REJECT_THRESHOLD, or an
+    eigen-residual above RESIDUAL_TOLERANCE ||G|| ||r||); eigenvalues
+    outside the window are not checked.
     """
 
     window: Window
@@ -138,25 +146,31 @@ class ComparisonReport:
     metadata: dict = field(default_factory=dict)
 
 
-def _select_t(spec: EnsembleSpec, window: Window, w: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _window_mask(spec: EnsembleSpec, window: Window, w: np.ndarray) -> np.ndarray:
+    """Which eigenvalues w (one row per matrix) the window keeps."""
     real = near_real(w, default_real_tolerance(spec.n))
     if window.kind == REAL_INTERVAL:
-        mask = real & (w.real >= window.lo) & (w.real <= window.hi)
-    else:
-        r = np.abs(w)
-        mask = (r >= window.lo) & (r <= window.hi)
-        if spec.beta == 1:
-            mask &= ~real
-    return t[mask]
+        return real & (w.real >= window.lo) & (w.real <= window.hi)
+    r = np.abs(w)
+    mask = (r >= window.lo) & (r <= window.hi)
+    if spec.beta == 1:
+        mask &= ~real
+    return mask
 
 
 def _windowed_chunks(spec: EnsembleSpec, start: int, stop: int, window: Window, chunk: int):
     """Yield (windowed t values, number of rejected matrices) per chunk of
-    the matrices with indices start..stop-1."""
+    the matrices with indices start..stop-1.  A matrix is rejected when one
+    of its eigenvalues is not finite or one of its windowed eigenvalues
+    fails a check of _overlaps_bordered."""
     for lo in range(start, stop, chunk):
         mats = sample_ginibre_batch(spec, lo, min(lo + chunk, stop) - lo)
-        w, t, _, ok = _overlaps_core(mats)
-        yield _select_t(spec, window, w[ok], t[ok]), int((~ok).sum())
+        w = np.linalg.eigvals(mats)
+        rows, cols = np.nonzero(_window_mask(spec, window, w))
+        t, ok = _overlaps_bordered(mats, rows, w[rows, cols])
+        rejected = ~np.isfinite(w).all(axis=1)
+        rejected[rows[~ok]] = True
+        yield t[~rejected[rows]], int(rejected.sum())
 
 
 def _campaign_range(spec: EnsembleSpec, start: int, stop: int, window: Window,

@@ -1,6 +1,8 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -178,6 +180,17 @@ class TestEntryPoint:
         verify = subprocess.run(["ginibre-overlaps", "--verify-metadata", str(out)],
                                 capture_output=True, text=True)
         assert verify.returncode == 0
+
+    def test_module_entry_point(self, tmp_path):
+        # python -m runs cli.py as __main__, which must call main()
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        out = tmp_path / "rho.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ginibre_overlaps.cli", "density", "--ensemble", "real",
+             "--n", "4", "--grid", "lin:0:2:5", "--out", str(out)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert out.exists() and out.stat().st_size > 0
 
 
 class TestSelftest:

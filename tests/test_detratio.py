@@ -287,16 +287,21 @@ def _ref_svd_sweep(n, beta, L, z, p_values, n_samples, seed):
     return out
 
 
-def _count_svd_rows(monkeypatch):
+def _count_rows(monkeypatch, name):
+    """Rows of every stack passed to np.linalg.<name>."""
     rows = []
-    svd = np.linalg.svd
+    fn = getattr(np.linalg, name)
 
     def counting(a, *args, **kwargs):
         rows.append(a.shape[0])
-        return svd(a, *args, **kwargs)
+        return fn(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(np.linalg, name, counting)
     return rows
+
+
+def _count_svd_rows(monkeypatch):
+    return _count_rows(monkeypatch, "svd")
 
 
 class TestGramRoute:
@@ -332,6 +337,14 @@ class TestGramRoute:
         # n = 1: only matrices with |z - g|^2 below ~4.5e-3 keep the Gram route
         detratio.detratio_mc_sweep(1, 2, 1, 0.5 + 0.4j, [1e-8], 2000, seed=5)
         assert 0 < sum(rows) < 2000
+
+    def test_fallback_rows_skip_the_gram_route(self, monkeypatch):
+        # p = 1e-8 sends every matrix to the SVD: no slogdet of A or of a shift
+        svd_rows = _count_svd_rows(monkeypatch)
+        slogdet_rows = _count_rows(monkeypatch, "slogdet")
+        detratio.detratio_mc_sweep(4, 2, 1, 0.7, [1e-8], 2000, seed=5)
+        assert sum(svd_rows) == 2000
+        assert sum(slogdet_rows) == 0
 
     def test_no_fallback_at_oracle_inputs(self, monkeypatch):
         rows = _count_svd_rows(monkeypatch)

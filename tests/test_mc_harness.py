@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -6,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ginibre_overlaps import mc_harness as mh
-from ginibre_overlaps.ensemble import EnsembleSpec
+from ginibre_overlaps.ensemble import (
+    EnsembleSpec,
+    _overlaps_bordered,
+    _overlaps_core,
+    sample_ginibre_batch,
+)
 from ginibre_overlaps.errors import (
     DomainError,
     EmptyWindowError,
@@ -149,6 +155,109 @@ class TestCampaign:
         ab, ba = a.merge(b), b.merge(a)
         assert np.array_equal(ab.counts, ba.counts)
         assert ab.n_samples == ba.n_samples == a.n_samples + b.n_samples
+
+
+class TestWindowedOverlaps:
+    """The campaign route (eigenvalues, then one bordered solve per windowed
+    eigenvalue) against the eig/inv reference route."""
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 30])
+    @pytest.mark.parametrize("beta,kind", [(1, mh.REAL_INTERVAL), (1, mh.ANNULUS),
+                                           (2, mh.ANNULUS)])
+    def test_matches_eig_inv(self, beta, kind, n):
+        spec = EnsembleSpec(n=n, beta=beta, seed=17)
+        scale = math.sqrt(n)
+        if kind == mh.REAL_INTERVAL:
+            win = mh.Window(kind=kind, lo=-0.6 * scale, hi=0.6 * scale)
+        else:
+            win = mh.Window(kind=kind, lo=0.2 * scale, hi=0.9 * scale)
+        mats = sample_ginibre_batch(spec, 0, max(64, 4000 // (n * n)))
+        w, t_ref, _, ok = _overlaps_core(mats)
+        assert ok.all()
+        assert np.array_equal(np.linalg.eigvals(mats), w)
+        rows, cols = np.nonzero(mh._window_mask(spec, win, w))
+        assert rows.size > 0 or (beta, kind, n) == (1, mh.ANNULUS, 1)
+        t, good = _overlaps_bordered(mats, rows, w[rows, cols])
+        assert good.all()
+        np.testing.assert_allclose(t, t_ref[rows, cols], rtol=1e-10, atol=0.0)
+
+    def test_empty_window(self):
+        spec = EnsembleSpec(n=4, beta=2, seed=0)
+        mats = sample_ginibre_batch(spec, 0, 10)
+        t, good = _overlaps_bordered(mats, np.array([], dtype=int), np.array([], dtype=complex))
+        assert t.shape == good.shape == (0,)
+        far = mh.Window(kind=mh.ANNULUS, lo=20.0, hi=22.0)
+        with pytest.raises(EmptyWindowError):
+            mh.collect_overlaps(spec, 50, far)
+
+    def test_passes_no_larger_than_the_chunk(self, monkeypatch):
+        spec = EnsembleSpec(n=6, beta=2, seed=3)
+        mats = sample_ginibre_batch(spec, 0, 5)
+        rows = np.repeat(np.arange(5), 6)
+        w = np.linalg.eigvals(mats).ravel()
+        sizes = []
+        solve = np.linalg.solve
+
+        def recording(a, b):
+            sizes.append(len(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        t, good = _overlaps_bordered(mats, rows, w)
+        assert good.all() and max(sizes) <= 5 and sum(sizes) == 2 * 30
+
+    def test_degenerate_matrix_rejected_and_counted(self, monkeypatch):
+        # 0.5 I: G - 0.5 I = 0, so even the bordered system is singular
+        spec = EnsembleSpec(n=3, beta=1, seed=2)
+        win = mh.Window(kind=mh.REAL_INTERVAL, lo=-1.0, hi=1.0)
+        clean = mh.collect_overlaps(spec, 200, win, chunk=64)
+        sample = mh.sample_ginibre_batch
+        w10 = np.linalg.eigvals(sample(spec, 10, 1))
+        lost = int(mh._window_mask(spec, win, w10).sum())
+
+        def with_identity(spec, start, count):
+            mats = sample(spec, start, count)
+            if start <= 10 < start + count:
+                mats[10 - start] = 0.5 * np.eye(3)
+            return mats
+
+        monkeypatch.setattr(mh, "sample_ginibre_batch", with_identity)
+        hist = mh.run_campaign(spec, 200, win, chunk=64)
+        assert hist.n_rejected == 1
+        assert hist.n_samples == clean.size - lost
+        raw = mh.collect_overlaps(spec, 200, win, chunk=64)
+        assert raw.size == clean.size - lost and np.isfinite(raw).all()
+
+    @pytest.mark.parametrize("beta,kind,lo,hi", [(1, mh.REAL_INTERVAL, -1.2, 1.2),
+                                                 (1, mh.ANNULUS, 0.5, 2.5),
+                                                 (2, mh.ANNULUS, 0.5, 2.0)])
+    def test_bytes_independent_of_chunk_and_threads(self, beta, kind, lo, hi):
+        spec = EnsembleSpec(n=5, beta=beta, seed=23)
+        win = mh.Window(kind=kind, lo=lo, hi=hi)
+        chunks = (1, 7, 4096)
+
+        def raw(chunk):
+            return mh.collect_overlaps(spec, 300, win, chunk=chunk).tobytes()
+
+        serial = [raw(c) for c in chunks]
+        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(raw, chunks))
+        assert len(set(serial + threaded)) == 1
+
+    def test_campaign_takes_no_eigenvectors(self, monkeypatch):
+        calls = []
+        eig = np.linalg.eig
+
+        def counting(a):
+            calls.append(a.shape)
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counting)
+        spec = EnsembleSpec(n=6, beta=1, seed=4)
+        win = mh.Window(kind=mh.REAL_INTERVAL, lo=-1.0, hi=1.0)
+        mh.run_campaign(spec, 300, win, threads=2, chunk=100)
+        mh.collect_overlaps(spec, 300, mh.Window(kind=mh.ANNULUS, lo=0.5, hi=2.0))
+        assert calls == []
 
 
 class TestConditionalCdf:
