@@ -223,18 +223,22 @@ def jpd_complex(n: int, t, z_abs_sq: float):
     return float(out[()]) if scalar else out
 
 
-def jpd_complex_cumulative(n: int, t, z_abs_sq: float):
-    """int_0^t P(u, z) du at one |z|^2 for t > 0 (scalar or array), n >= 2.
+def jpd_complex_cumulative(n: int, t, z_abs_sq):
+    """int_0^t P(u, z) du for t > 0 and |z|^2 >= 0, which broadcast; n >= 2.
 
     Under tau = u/(1+u), P du = (e^{top+a}/pi) tau^{n-2} e^{-a tau} [g1 (1-tau)
     + g2 (1-tau)^2 + g3 (1-tau)^3] dtau: one truncated gamma integral with
-    nonnegative weights on powers of 1 - tau.  Tends to density_complex(n, a)
-    as t -> inf.
+    nonnegative weights on powers of 1 - tau, one kernel call for every |z|^2
+    (the bracket is taken per |z|^2).  Tends to density_complex(n, a) as
+    t -> inf.
     """
-    n, a, top, g1, g2, g3 = _bracket(n, z_abs_sq)
-    scalar = np.isscalar(t)
+    scalar = np.isscalar(t) and np.isscalar(z_abs_sq)
     tb = _as_t(t)
-    log_i = specfun.log_lower_integral(n - 1, a, tb / (1.0 + tb), (0.0, g1, g2, g3))
+    a = np.asarray(z_abs_sq, dtype=float)
+    _, _, top, g1, g2, g3 = (np.reshape(v, a.shape)
+                             for v in zip(*(_bracket(n, x) for x in a.ravel())))
+    weights = np.stack([np.zeros(a.shape), g1, g2, g3], axis=-1)
+    log_i = specfun.log_lower_integral(n - 1, a, tb / (1.0 + tb), weights)
     out = np.exp(top + a - math.log(math.pi) + log_i)
     return float(out) if scalar else out
 

@@ -27,10 +27,13 @@ evaluated by adaptive quadrature.
 
 A brute-force Monte Carlo estimator is the oracle that validates the closed
 forms.  Per matrix A = z - G it takes log|det A| and log det(qI + A^H A),
-q = 2p/beta, from one Gram product A^H A, one slogdet of A (if L > 0) and
-one slogdet per shift; where the Gram rounding bound exceeds
-_GRAM_LOGDET_TOL (huge |z|, tiny p) it takes the singular values of A.
-Values are accumulated in log space, so determinants never overflow.
+q = 2p/beta, from one Gram product A^H A, one slogdet of A and one slogdet
+per shift; where the Gram rounding bound exceeds _GRAM_LOGDET_TOL (huge |z|,
+tiny p) it takes the singular values of A.  None of these depends on L, so
+one pass over a (beta, z) matrix stream accumulates every supported L of
+beta, and the pass's moments are cached: the other L of that stream draw no
+matrices.  Values are accumulated in log space, so determinants never
+overflow.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,7 +52,8 @@ from .ensemble import EnsembleSpec, sample_ginibre_batch
 from .errors import DomainError
 from .quadrature import DEFAULT_SPEC, QuadSpec, integrate_semi_infinite
 
-_SUPPORTED = {(1, 0), (1, 2), (2, 0), (2, 1), (2, 2)}
+_L_OF_BETA = {1: (0, 2), 2: (0, 1, 2)}
+_SUPPORTED = {(beta, ell) for beta, ells in _L_OF_BETA.items() for ell in ells}
 _LN2 = math.log(2.0)
 
 # Rounding the Gram product moves each entry by |dG_ij| <~ n eps |a_i| |a_j|
@@ -85,11 +90,16 @@ class DetRatioQuery:
 # Monte Carlo estimator
 # ---------------------------------------------------------------------------
 
-def _sample_log_values(a: np.ndarray, beta: int, L: int, shifts) -> list:
-    """beta L log|det A| - (beta/2) log det(qI + A^H A) for every matrix A of
-    the stack a, one array per shift q; a matrix with n eps tr(A^H A) / min(q)
-    above _GRAM_LOGDET_TOL takes its singular values, and only the others
-    take the Gram route."""
+def _sample_log_values(a: np.ndarray, beta: int, shifts) -> dict:
+    """{L: [beta L log|det A| - (beta/2) log det(qI + A^H A), one array per
+    shift q]} for every matrix A of the stack a and every supported L of beta.
+
+    log|det A| and each log det(qI + A^H A) are taken once and read by every
+    L.  A matrix with n eps tr(A^H A) / min(q) above _GRAM_LOGDET_TOL takes
+    its singular values; only the others take the Gram route (one Gram
+    product, one slogdet of A, one slogdet per shift).  L = 0 keeps a literal
+    0.0 term, so an exactly singular A (log|det A| = -inf) cannot make 0 * -inf.
+    """
     cnt, n, _ = a.shape
     parts = a.reshape(cnt, n * n).view(float)    # real (and imaginary) parts
     trace = np.einsum("ij,ij->i", parts, parts)  # tr(A^H A), no temporary
@@ -98,21 +108,27 @@ def _sample_log_values(a: np.ndarray, beta: int, L: int, shifts) -> list:
     kept = a[~fallback] if has_fallback else a
     gram = np.matmul(kept.transpose(0, 2, 1) if beta == 1 else kept.conj().transpose(0, 2, 1),
                      kept)
-    log_abs_det = beta * L * np.linalg.slogdet(kept)[1] if L else 0.0
+    log_abs_det = np.linalg.slogdet(kept)[1]
     shifted = np.empty_like(gram)
-    out = []
+    halves = []   # (beta/2) log det(qI + A^H A), per shift
     for q in shifts:
         np.copyto(shifted, gram)
         shifted.reshape(len(kept), n * n)[:, ::n + 1] += q
-        out.append(log_abs_det - 0.5 * beta * np.linalg.slogdet(shifted)[1])
+        halves.append(0.5 * beta * np.linalg.slogdet(shifted)[1])
     if has_fallback:
         svals = np.linalg.svd(a[fallback], compute_uv=False)
-        logs = np.log(svals).sum(axis=1)
-        for i, q in enumerate(shifts):
-            vals = np.empty(cnt)
-            vals[~fallback] = out[i]
-            vals[fallback] = beta * L * logs - 0.5 * beta * np.log(q + svals**2).sum(axis=1)
-            out[i] = vals
+        log_abs_det = _with_rows(log_abs_det, fallback, np.log(svals).sum(axis=1))
+        halves = [_with_rows(h, fallback, 0.5 * beta * np.log(q + svals**2).sum(axis=1))
+                  for h, q in zip(halves, shifts)]
+    return {ell: [(beta * ell * log_abs_det if ell else 0.0) - h for h in halves]
+            for ell in _L_OF_BETA[beta]}
+
+
+def _with_rows(kept_values: np.ndarray, fallback: np.ndarray, fallback_values: np.ndarray):
+    """One array over the whole stack from the values of its two routes."""
+    out = np.empty(fallback.size)
+    out[~fallback] = kept_values
+    out[fallback] = fallback_values
     return out
 
 
@@ -130,15 +146,44 @@ def _merge_moments(a, b):
     return n, top, ma + delta * nb / n, m2a + m2b + delta * delta * na * nb / n
 
 
-def detratio_mc_sweep(n: int, beta: int, L: int, z, p_values, n_samples: int, *,
-                      seed: int = 0, chunk: int = 65536):
-    """MC means/stderrs of D^{(L)}_{n,beta}(z, p) for several p from one
-    matrix stream (the Gram product, log|det A| and any fallback singular
-    values are shared across the sweep; see _sample_log_values).
+@lru_cache(maxsize=32)
+def _stream_moments(n: int, beta: int, z, p_values: tuple, n_samples: int, seed: int,
+                    chunk: int) -> dict:
+    """{L: ((count, top, mean, m2) per p)} for every supported L of beta, from
+    one pass over the (n, beta, seed) matrix stream at z.
 
     Each chunk's values are exponentiated after shifting their logs by the
     chunk maximum, and chunk moments merge by Chan's update, so neither the
-    values nor their squares overflow before the final scale is applied."""
+    values nor their squares overflow before the caller applies the scale.
+    Only these moment tuples are cached, never arrays."""
+    spec = EnsembleSpec(n=n, beta=beta, seed=seed)
+    shifts = [2.0 * p if beta == 1 else p for p in p_values]   # q = 2p / beta
+    acc = {ell: [None] * len(shifts) for ell in _L_OF_BETA[beta]}
+    for lo in range(0, n_samples, chunk):
+        cnt = min(chunk, n_samples - lo)
+        a = sample_ginibre_batch(spec, lo, cnt)
+        np.negative(a, out=a)
+        a.reshape(cnt, n * n)[:, ::n + 1] += z      # a = z I - G, in place
+        for ell, per_shift in _sample_log_values(a, beta, shifts).items():
+            for i, logs in enumerate(per_shift):
+                top = float(logs.max())
+                vals = np.exp(logs - top)
+                mean = float(vals.mean())
+                acc[ell][i] = _merge_moments(acc[ell][i], (vals.size, top, mean,
+                                                           float(((vals - mean) ** 2).sum())))
+    return {ell: tuple(moments) for ell, moments in acc.items()}
+
+
+def detratio_mc_sweep(n: int, beta: int, L: int, z, p_values, n_samples: int, *,
+                      seed: int = 0, chunk: int = 65536):
+    """MC means/stderrs of D^{(L)}_{n,beta}(z, p) for several p from one
+    matrix stream.
+
+    One pass over the stream accumulates every supported L of beta at once
+    (_stream_moments, cached per (n, beta, z, p values, n_samples, seed,
+    chunk)), so the other L of the same stream cost no further draws; see
+    _sample_log_values for what each matrix takes.  The moments are scaled
+    here, so only an L whose values exceed the double range raises."""
     p_values = [float(p) for p in p_values]
     queries = [DetRatioQuery(n=n, beta=beta, L=L, z=z, p=p) for p in p_values]
     for q in queries:
@@ -148,28 +193,15 @@ def detratio_mc_sweep(n: int, beta: int, L: int, z, p_values, n_samples: int, *,
         raise DomainError("need at least 1e3 samples for a meaningful estimate")
     if chunk < 1:
         raise DomainError(f"chunk must be >= 1, got {chunk}")
-    spec = EnsembleSpec(n=n, beta=beta, seed=seed)
-    acc = [None for _ in p_values]
     zc = complex(z) if beta == 2 else complex(z).real
-    shifts = [2.0 * p if beta == 1 else p for p in p_values]   # q = 2p / beta
-    for lo in range(0, n_samples, chunk):
-        cnt = min(chunk, n_samples - lo)
-        a = sample_ginibre_batch(spec, lo, cnt)
-        np.negative(a, out=a)
-        a.reshape(cnt, n * n)[:, ::n + 1] += zc     # a = z I - G, in place
-        for i, logs in enumerate(_sample_log_values(a, beta, L, shifts)):
-            top = float(logs.max())
-            vals = np.exp(logs - top)
-            mean = float(vals.mean())
-            acc[i] = _merge_moments(acc[i], (vals.size, top, mean,
-                                             float(((vals - mean) ** 2).sum())))
     out = []
-    for cnt_i, top, mean, m2 in acc:
+    for cnt, top, mean, m2 in _stream_moments(n, beta, zc, tuple(p_values), n_samples,
+                                               seed, chunk)[L]:
         try:
             scale = math.exp(top)
         except OverflowError:
             raise DomainError("Monte Carlo values exceed the double range") from None
-        out.append((mean * scale, math.sqrt(m2 / (cnt_i - 1) / cnt_i) * scale))
+        out.append((mean * scale, math.sqrt(m2 / (cnt - 1) / cnt) * scale))
     return out
 
 

@@ -259,8 +259,9 @@ def _solve_or_nan(m: np.ndarray, b: np.ndarray) -> np.ndarray:
         return x
 
 
-def _bordered_pass(g: np.ndarray, lam: np.ndarray):
-    """t and the check flags of eigenvalue lam[k] of matrix g[k], every k."""
+def _bordered_pass(g: np.ndarray, lam: np.ndarray, norm_g: np.ndarray):
+    """t and the check flags of eigenvalue lam[k] of matrix g[k], every k;
+    norm_g[k] is the Frobenius norm of g[k]."""
     count, n, _ = g.shape
     m = np.zeros((count, n + 1, n + 1), dtype=lam.dtype)
     shifted = m[:, :n, :n]
@@ -281,7 +282,7 @@ def _bordered_pass(g: np.ndarray, lam: np.ndarray):
     ok = (np.isfinite(t)
           & (t >= -T_NEGATIVE_TOLERANCE)
           & (o_diag <= OVERLAP_REJECT_THRESHOLD)
-          & (resid <= RESIDUAL_TOLERANCE * np.linalg.norm(g, axis=(1, 2)) * np.sqrt(rr)))
+          & (resid <= RESIDUAL_TOLERANCE * norm_g * np.sqrt(rr)))
     return t, ok
 
 
@@ -303,12 +304,13 @@ def _overlaps_bordered(mats: np.ndarray, rows: np.ndarray, lam: np.ndarray):
     t = np.full(len(rows), np.nan)
     ok = np.zeros(len(rows), dtype=bool)
     real = np.isrealobj(mats) & (np.imag(lam) == 0.0)
+    norms = np.linalg.norm(mats, axis=(1, 2))   # once per matrix, not per pair
     step = max(len(mats), 1)
     for group, values in ((real, np.real(lam)), (~real, lam.astype(complex))):
         pairs = np.flatnonzero(group)
         for lo in range(0, pairs.size, step):
             k = pairs[lo:lo + step]
-            t[k], ok[k] = _bordered_pass(mats[rows[k]], values[k])
+            t[k], ok[k] = _bordered_pass(mats[rows[k]], values[k], norms[rows[k]])
     np.clip(t, 0.0, None, out=t)
     return t, ok
 

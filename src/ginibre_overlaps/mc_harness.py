@@ -298,10 +298,8 @@ def analytic_conditional_cdf(spec: EnsembleSpec, window: Window, t_grid) -> np.n
     nodes, weights, mass = _outer_nodes(window, spec)
     if spec.beta == 1:
         return weights @ analytic_real.jpd_real_cumulative(spec.n, t_grid, nodes[:, None]) / mass
-    cdf = np.zeros(t_grid.size)
-    for x, wgt in zip(nodes, weights):
-        cdf += wgt * analytic_complex.jpd_complex_cumulative(spec.n, t_grid, x * x)
-    return cdf / mass
+    return weights @ analytic_complex.jpd_complex_cumulative(
+        spec.n, t_grid, (nodes * nodes)[:, None]) / mass
 
 
 def ks_compare(hist: ConditionedHistogram, cdf, *, alpha: float = KS_ALPHA) -> ComparisonReport:

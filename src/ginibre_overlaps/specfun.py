@@ -40,47 +40,55 @@ _BLOCK = 32
 def log_lower_integral(s: float, x, T, c=(1.0,)):
     """log int_0^T tau^{s-1} e^{-x tau} sum_m c_m (1-tau)^m dtau, every c_m >= 0.
 
-    s > 0; x >= 0 (finite) and 0 < T <= 1 broadcast.  With tau = T u and
+    s > 0; x >= 0 (finite), 0 < T <= 1 and the leading axes of c (m runs
+    along its last axis) broadcast.  With tau = T u and
     1 - tau = (1-T) + T(1-u) the integral is T^s sum_i w_i T^i J_i(xT), where
     w_i = sum_{m>=i} c_m C(m,i) (1-T)^{m-i} and, by Kummer's transformation,
     J_i(y) = int_0^1 u^{s-1} (1-u)^i e^{-yu} du = B(s,i+1) e^{-y} M(i+1, s+i+1, y).
     Every term of every M is positive.  The series run together as running
-    products in blocks, rescaled between blocks so that none overflows, until
-    each tail past its peak (below a geometric series, as the term ratios
-    y (i+k)/((s+i+k) k) decrease in k) is under 1e-17 of its sum.
+    products in blocks, rescaled between blocks so that none overflows; an
+    element leaves once each of its tails past the peak (below a geometric
+    series, as the term ratios y (i+k)/((s+i+k) k) decrease in k) is under
+    1e-17 of its sum, so every element gets the value it has on its own.
     """
     x = np.asarray(x, dtype=float)
     T = np.asarray(T, dtype=float)
-    if not (s > 0.0 and min(c) >= 0.0 and ((0.0 <= x) & (x < np.inf)).all()
+    c = np.asarray(c, dtype=float)
+    if not (s > 0.0 and (c >= 0.0).all() and ((0.0 <= x) & (x < np.inf)).all()
             and ((0.0 < T) & (T <= 1.0)).all()):
         raise DomainError(f"log_lower_integral needs s > 0, c >= 0, finite x >= 0 "
                           f"and 0 < T <= 1 (s = {s})")
-    i = np.arange(len(c))
+    i = np.arange(c.shape[-1])
     j = np.arange(1, _BLOCK + 1)
-    y = (x * T)[..., None]
-    total = np.ones(y.shape[:-1] + i.shape)   # M(i+1, s+i+1, xT) in units of e^{log_scale}
+    y = x * T
+    total = np.ones((y.size, i.size))   # M(i+1, s+i+1, xT) in units of e^{log_scale}
+    log_scale = np.zeros(y.size)
+    live = np.arange(y.size)             # the elements whose series still run
     last = total
-    log_scale = 0.0
     k = 0
-    while True:
+    while live.size:
+        yl = y.reshape(-1)[live, None]
         ik = i[:, None] + k + j
-        run = last[..., None] * np.cumprod(y[..., None] / (s + ik) * (ik / (k + j)), axis=-1)
-        total = total + run.sum(axis=-1)
+        run = last[..., None] * np.cumprod(yl[..., None] / (s + ik) * (ik / (k + j)), axis=-1)
+        sums = total[live] + run.sum(axis=-1)
         last = run[..., -1]
         k += _BLOCK
-        r = y / (s + i + k + 1) * ((i + k + 1) / (k + 1))   # next ratios; later ones are smaller
-        if ((r < 1.0) & (last * r <= 1e-17 * (1.0 - r) * total)).all():
-            break
+        r = yl / (s + i + k + 1) * ((i + k + 1) / (k + 1))   # next ratios; later ones are smaller
+        done = ((r < 1.0) & (last * r <= 1e-17 * (1.0 - r) * sums)).all(axis=-1)
+        total[live[done]] = sums[done]
+        live, sums, last = live[~done], sums[~done], last[~done]
         scale = np.maximum(last.max(axis=-1, keepdims=True), 1.0)
-        total = total / scale
+        total[live] = sums / scale
         last = last / scale
-        log_scale = log_scale + np.log(scale[..., 0])
+        log_scale[live] += np.log(scale[:, 0])
+    total = total.reshape(y.shape + i.shape)
+    log_scale = log_scale.reshape(y.shape)
     # the docstring's w_i, times T^i and B(s, i+1) = i!/(s (s+1) ... (s+i))
-    binom = np.array([[math.comb(m, q) * c[m] for m in range(len(c))] for q in range(len(c))])
+    binom = np.array([[math.comb(m, q) for m in i] for q in i]) * c[..., None, :]
     w = (binom * (1.0 - T)[..., None, None] ** np.maximum(i - i[:, None], 0)).sum(axis=-1)
     weighted = w * T[..., None] ** i * np.cumprod(np.maximum(i, 1) / (s + i)) * total
     with np.errstate(divide="ignore"):
-        out = s * np.log(T) - y[..., 0] + log_scale + np.log(weighted.sum(axis=-1))
+        out = s * np.log(T) - y + log_scale + np.log(weighted.sum(axis=-1))
     return float(out) if out.ndim == 0 else out
 
 

@@ -191,7 +191,20 @@ class TestCumulative:
             assert ac.jpd_complex_cumulative(n, 1e300, r * r) == pytest.approx(
                 ac.density_complex(n, r * r), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 30, 200])
+    def test_array_of_z_matches_scalar_calls(self, n):
+        ts = np.geomspace(1e-3, 1e6, 7)
+        a = np.linspace(0.0, 2.0 * n, 6)
+        grid = ac.jpd_complex_cumulative(n, ts, a[:, None])
+        assert grid.shape == (a.size, ts.size)
+        for i, ai in enumerate(a.tolist()):
+            np.testing.assert_allclose(grid[i], ac.jpd_complex_cumulative(n, ts, ai),
+                                       rtol=1e-14, atol=0.0)
+        assert isinstance(ac.jpd_complex_cumulative(n, 1.0, 0.5), float)
+
     def test_domain(self):
+        with pytest.raises(DomainError):
+            ac.jpd_complex_cumulative(6, 1.0, [0.5, -0.5])
         with pytest.raises(DomainError):
             ac.jpd_complex_cumulative(6, 0.0, 0.5)
         with pytest.raises(DomainError):

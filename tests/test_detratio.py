@@ -288,7 +288,9 @@ def _ref_svd_sweep(n, beta, L, z, p_values, n_samples, seed):
 
 
 def _count_rows(monkeypatch, name):
-    """Rows of every stack passed to np.linalg.<name>."""
+    """Rows of every stack passed to np.linalg.<name>; the sweep cache is
+    cleared so that the counted sweeps run their matrices."""
+    detratio._stream_moments.cache_clear()
     rows = []
     fn = getattr(np.linalg, name)
 
@@ -352,6 +354,165 @@ class TestGramRoute:
             z = 0.7 if beta == 1 else 0.5 + 0.4j
             detratio.detratio_mc_sweep(4, beta, L, z, [0.5, 1.0, 5.0], 8192, seed=41)
         assert rows == []
+
+
+# ---------------------------------------------------------------------------
+# reference: the single-L accumulation that detratio_mc_sweep ran before one
+# pass over a (beta, z) stream served every L
+# ---------------------------------------------------------------------------
+
+def _ref_single_l_log_values(a, beta, L, shifts):
+    cnt, n, _ = a.shape
+    parts = a.reshape(cnt, n * n).view(float)
+    trace = np.einsum("ij,ij->i", parts, parts)
+    fallback = n * np.finfo(float).eps * trace > detratio._GRAM_LOGDET_TOL * min(shifts)
+    has_fallback = bool(fallback.any())
+    kept = a[~fallback] if has_fallback else a
+    gram = np.matmul(kept.transpose(0, 2, 1) if beta == 1 else kept.conj().transpose(0, 2, 1),
+                     kept)
+    log_abs_det = beta * L * np.linalg.slogdet(kept)[1] if L else 0.0
+    shifted = np.empty_like(gram)
+    out = []
+    for q in shifts:
+        np.copyto(shifted, gram)
+        shifted.reshape(len(kept), n * n)[:, ::n + 1] += q
+        out.append(log_abs_det - 0.5 * beta * np.linalg.slogdet(shifted)[1])
+    if has_fallback:
+        svals = np.linalg.svd(a[fallback], compute_uv=False)
+        logs = np.log(svals).sum(axis=1)
+        for i, q in enumerate(shifts):
+            vals = np.empty(cnt)
+            vals[~fallback] = out[i]
+            vals[fallback] = beta * L * logs - 0.5 * beta * np.log(q + svals**2).sum(axis=1)
+            out[i] = vals
+    return out
+
+
+def _ref_single_l_sweep(n, beta, L, z, p_values, n_samples, seed=0, chunk=65536):
+    spec = EnsembleSpec(n=n, beta=beta, seed=seed)
+    acc = [None for _ in p_values]
+    zc = complex(z) if beta == 2 else complex(z).real
+    shifts = [2.0 * p if beta == 1 else p for p in p_values]
+    for lo in range(0, n_samples, chunk):
+        cnt = min(chunk, n_samples - lo)
+        a = detratio.sample_ginibre_batch(spec, lo, cnt)
+        np.negative(a, out=a)
+        a.reshape(cnt, n * n)[:, ::n + 1] += zc
+        for i, logs in enumerate(_ref_single_l_log_values(a, beta, L, shifts)):
+            top = float(logs.max())
+            vals = np.exp(logs - top)
+            mean = float(vals.mean())
+            acc[i] = detratio._merge_moments(acc[i], (vals.size, top, mean,
+                                                      float(((vals - mean) ** 2).sum())))
+    out = []
+    for cnt_i, top, mean, m2 in acc:
+        try:
+            scale = math.exp(top)
+        except OverflowError:
+            raise DomainError("Monte Carlo values exceed the double range") from None
+        out.append((mean * scale, math.sqrt(m2 / (cnt_i - 1) / cnt_i) * scale))
+    return out
+
+
+PAIRS = [(1, 0), (1, 2), (2, 0), (2, 1), (2, 2)]
+
+
+@pytest.fixture
+def fresh_streams():
+    """An empty sweep cache before and after, so no stream drawn under a
+    patched sampler outlives the test."""
+    detratio._stream_moments.cache_clear()
+    yield
+    detratio._stream_moments.cache_clear()
+
+
+class TestStreamSharing:
+    # (n, z for beta = 1 and 2, p values, samples, chunk): no fallback over
+    # two chunks; every matrix falling back (z = 1e12, p = 1e-8); some
+    # falling back (n = 1)
+    CASES = [(4, (0.7, 0.7 + 0.4j), [0.5, 1.0, 5.0], 3000, 1700),
+             (4, (1e12, 1e12), [1e-8], 1000, 65536),
+             (1, (0.5, 0.5 + 0.4j), [1e-8, 0.5], 2000, 65536)]
+
+    @pytest.mark.parametrize("beta,L", PAIRS)
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_equals_single_l_accumulation(self, beta, L, case, fresh_streams):
+        n, zs, ps, count, chunk = self.CASES[case]
+        z = zs[beta - 1]
+        got = detratio.detratio_mc_sweep(n, beta, L, z, ps, count, seed=5, chunk=chunk)
+        assert got == _ref_single_l_sweep(n, beta, L, z, ps, count, seed=5, chunk=chunk)
+
+    def test_call_order_does_not_matter(self, fresh_streams):
+        def sweep(ell):
+            return detratio.detratio_mc_sweep(4, 2, ell, 0.5 + 0.4j, [0.5, 5.0], 3000, seed=9)
+
+        l2_first = [sweep(2), sweep(0)]
+        detratio._stream_moments.cache_clear()
+        l0_first = [sweep(0), sweep(2)]
+        fresh = []
+        for ell in (2, 0):
+            detratio._stream_moments.cache_clear()
+            fresh.append(sweep(ell))
+        assert l2_first == l0_first[::-1] == fresh
+
+    def test_second_l_draws_no_matrices(self, monkeypatch, fresh_streams):
+        counts = []
+        sample = detratio.sample_ginibre_batch
+
+        def counting(spec, start, count):
+            counts.append(count)
+            return sample(spec, start, count)
+
+        monkeypatch.setattr(detratio, "sample_ginibre_batch", counting)
+        detratio.detratio_mc_sweep(4, 2, 1, 0.5 + 0.4j, [0.5, 1.0], 3000, seed=2, chunk=1000)
+        assert sum(counts) == 3000
+        counts.clear()
+        for ell in (0, 2, 1):
+            detratio.detratio_mc_sweep(4, 2, ell, 0.5 + 0.4j, [0.5, 1.0], 3000, seed=2,
+                                       chunk=1000)
+        assert counts == []
+        # another p list, seed, z or chunk is another pass
+        detratio.detratio_mc_sweep(4, 2, 1, 0.5 + 0.4j, [0.5], 3000, seed=2, chunk=1000)
+        assert sum(counts) == 3000
+
+    def test_returned_list_is_the_callers(self, fresh_streams):
+        args = (4, 1, 2, 0.7, [0.5, 5.0], 2000)
+        first = detratio.detratio_mc_sweep(*args, seed=4)
+        kept = list(first)
+        first[0] = (0.0, 0.0)
+        first.clear()
+        assert detratio.detratio_mc_sweep(*args, seed=4) == kept
+
+    @pytest.mark.parametrize("order", [(0, 2), (2, 0)])
+    def test_only_the_overflowing_l_raises(self, order, fresh_streams):
+        # n = 26 at z = 1e12: the L = 2 values are ~e^718 (past the double
+        # range), the L = 0 values ~e^-718 (subnormal, but representable)
+        for ell in order:
+            if ell == 2:
+                with pytest.raises(DomainError):
+                    detratio.detratio_mc_sweep(26, 1, 2, 1e12, [1.0], 1000, seed=1)
+            else:
+                [(mean, stderr)] = detratio.detratio_mc_sweep(26, 1, 0, 1e12, [1.0], 1000,
+                                                              seed=1)
+                assert 0.0 < mean < 1e-300 and math.isfinite(stderr)
+
+    @pytest.mark.parametrize("beta,z", [(1, 0.7), (2, 0.5 + 0.4j)])
+    def test_exactly_singular_a(self, beta, z, monkeypatch, fresh_streams):
+        # some matrices are G = z I, so A = z I - G = 0 and log|det A| = -inf
+        sample = detratio.sample_ginibre_batch
+
+        def with_z_identity(spec, start, count):
+            mats = sample(spec, start, count)
+            mats[::7] = z * np.eye(spec.n) if beta == 2 else z.real * np.eye(spec.n)
+            return mats
+
+        monkeypatch.setattr(detratio, "sample_ginibre_batch", with_z_identity)
+        for L in (0, 2) if beta == 1 else (0, 1, 2):
+            got = detratio.detratio_mc_sweep(4, beta, L, z, [0.5, 5.0], 2000, seed=3)
+            assert got == _ref_single_l_sweep(4, beta, L, z, [0.5, 5.0], 2000, seed=3)
+            assert not any(math.isnan(v) for pair in got for v in pair)
+            if L == 0:
+                assert all(math.isfinite(v) and v > 0.0 for pair in got for v in pair)
 
 
 class TestIdentities:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ginibre_overlaps import analytic_complex
 from ginibre_overlaps import mc_harness as mh
 from ginibre_overlaps.ensemble import (
     EnsembleSpec,
@@ -308,6 +309,20 @@ class TestConditionalCdf:
         grid = mh.default_bin_edges(n)
         cdf = mh.analytic_conditional_cdf(spec, win, grid)
         assert np.abs(cdf - _reference_conditional_cdf(spec, win, grid)).max() <= 1e-10
+
+    @pytest.mark.parametrize("n, lo, hi", [(30, 0.45, 0.55), (10, 0.0, 0.9), (200, 0.0, 1.4)])
+    def test_complex_window_matches_node_loop(self, n, lo, hi):
+        # one jpd_complex_cumulative call over every window node against one
+        # call per node
+        spec = EnsembleSpec(n=n, beta=2, seed=0)
+        win = mh.Window(kind=mh.ANNULUS, lo=lo * math.sqrt(n), hi=hi * math.sqrt(n))
+        grid = mh.default_bin_edges(n)
+        nodes, weights, mass = mh._outer_nodes(win, spec)
+        loop = np.zeros(grid.size)
+        for x, wgt in zip(nodes, weights):
+            loop += wgt * analytic_complex.jpd_complex_cumulative(n, grid, x * x)
+        np.testing.assert_allclose(mh.analytic_conditional_cdf(spec, win, grid), loop / mass,
+                                   rtol=1e-13, atol=0.0)
 
     def test_unsupported_combinations(self):
         annulus = mh.Window(kind=mh.ANNULUS, lo=0.0, hi=1.0)

@@ -211,6 +211,17 @@ class TestLogLowerIntegral:
                 assert isinstance(one, float)
                 assert one == pytest.approx(grid[i, j], rel=1e-14)
 
+    def test_weights_broadcast(self):
+        # one weight vector per row of x, along the last axis of c
+        x = np.array([[0.0], [3.0], [250.0]])
+        T = np.array([1e-6, 0.4, 1.0])
+        c = np.array([[[0.0, 1.0, 2.5, 0.3]], [[2.0, 0.0, 0.0, 1e-3]], [[1.0, 1.0, 1.0, 1.0]]])
+        grid = specfun.log_lower_integral(3.5, x, T, c)
+        assert grid.shape == (3, 3)
+        for i in range(3):
+            assert grid[i] == pytest.approx(
+                specfun.log_lower_integral(3.5, x[i, 0], T, c[i, 0]), rel=1e-15)
+
     def test_large_x_stays_finite(self):
         # terms up to e^{xT} are rescaled between blocks, so nothing
         # overflows; I_s -> Gamma(s) x^{-s} up to e^{-x}.  The log is the
