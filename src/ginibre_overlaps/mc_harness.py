@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analytic_complex, analytic_real
+from . import analytic_complex, analytic_real, ensemble
 from .ensemble import (
     EnsembleSpec,
     _overlaps_bordered,
@@ -159,12 +159,15 @@ def _window_mask(spec: EnsembleSpec, window: Window, w: np.ndarray) -> np.ndarra
 
 
 def _windowed_chunks(spec: EnsembleSpec, start: int, stop: int, window: Window, chunk: int):
-    """Yield (windowed t values, number of rejected matrices) per chunk of
-    the matrices with indices start..stop-1.  A matrix is rejected when one
-    of its eigenvalues is not finite or one of its windowed eigenvalues
-    fails a check of _overlaps_bordered."""
-    for lo in range(start, stop, chunk):
-        mats = sample_ginibre_batch(spec, lo, min(lo + chunk, stop) - lo)
+    """Yield (windowed t values, number of rejected matrices) per step over
+    the matrices with indices start..stop-1.  A step takes at most chunk
+    matrices, and no more than fit in ensemble.BATCH_BYTES (at least one).
+    A matrix is rejected when one of its eigenvalues is not finite or one of
+    its windowed eigenvalues fails a check of _overlaps_bordered."""
+    matrix_bytes = 8 * spec.beta * spec.n * spec.n   # float64, or complex128 for beta = 2
+    step = max(1, min(chunk, ensemble.BATCH_BYTES // matrix_bytes))
+    for lo in range(start, stop, step):
+        mats = sample_ginibre_batch(spec, lo, min(lo + step, stop) - lo)
         w = np.linalg.eigvals(mats)
         rows, cols = np.nonzero(_window_mask(spec, window, w))
         t, ok = _overlaps_bordered(mats, rows, w[rows, cols])
@@ -198,7 +201,7 @@ def _validate_counts(n_matrices: int, chunk: int) -> None:
 def collect_overlaps(spec: EnsembleSpec, n_matrices: int, window: Window, *,
                      start_index: int = 0, chunk: int = 4096) -> np.ndarray:
     """Raw windowed overlap values (for moment estimates rather than
-    histograms).  Same selection rules and determinism as run_campaign."""
+    histograms).  Same selection rules, determinism and chunk as run_campaign."""
     _validate_counts(n_matrices, chunk)
     pieces = [ts for ts, _ in _windowed_chunks(spec, start_index, start_index + n_matrices,
                                                window, chunk) if ts.size]
@@ -213,8 +216,12 @@ def run_campaign(spec: EnsembleSpec, n_matrices: int, window: Window, *,
     """Sample n_matrices matrices and histogram the windowed overlaps.
 
     Deterministic in (spec, start_index, n_matrices, window, bin_edges);
-    threads only affect speed.  Raises EmptyWindowError when no eigenvalue
-    lands in the window.
+    threads and chunk only affect speed.  With threads > 1 the range is
+    split into shards of min(chunk, ceil(n_matrices / threads)) matrices,
+    so every thread gets work.  chunk also caps the matrices a step
+    holds at once; ensemble.BATCH_BYTES caps them further, so peak memory
+    does not grow with chunk, n or the window.  Raises EmptyWindowError
+    when no eigenvalue lands in the window.
     """
     _validate_counts(n_matrices, chunk)
     edges = default_bin_edges(spec.n) if bin_edges is None else np.asarray(bin_edges, dtype=float)
@@ -224,7 +231,8 @@ def run_campaign(spec: EnsembleSpec, n_matrices: int, window: Window, *,
     if threads <= 1:
         hist = _campaign_range(spec, start_index, stop, window, edges, chunk)
     else:
-        bounds = list(range(start_index, stop, chunk)) + [stop]
+        shard = min(chunk, -(-n_matrices // threads))
+        bounds = list(range(start_index, stop, shard)) + [stop]
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(
                 lambda ab: _campaign_range(spec, ab[0], ab[1], window, edges, chunk),

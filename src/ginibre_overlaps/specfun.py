@@ -14,10 +14,12 @@ scaled complementary error function erfcx.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
+from . import ensemble
 from .errors import DomainError
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -46,10 +48,13 @@ def log_lower_integral(s: float, x, T, c=(1.0,)):
     w_i = sum_{m>=i} c_m C(m,i) (1-T)^{m-i} and, by Kummer's transformation,
     J_i(y) = int_0^1 u^{s-1} (1-u)^i e^{-yu} du = B(s,i+1) e^{-y} M(i+1, s+i+1, y).
     Every term of every M is positive.  The series run together as running
-    products in blocks, rescaled between blocks so that none overflows; an
-    element leaves once each of its tails past the peak (below a geometric
-    series, as the term ratios y (i+k)/((s+i+k) k) decrease in k) is under
-    1e-17 of its sum, so every element gets the value it has on its own.
+    products in blocks of _BLOCK terms, rescaled between blocks so that none
+    overflows; an element leaves once each of its tails past the peak (below
+    a geometric series, as the term ratios y (i+k)/((s+i+k) k) decrease in k)
+    is under 1e-17 of its sum, so every element gets the value it has on its
+    own.  The elements (the broadcast of x, T and c's leading axes) are taken
+    in groups whose (elements x weights x _BLOCK) temporaries fit in
+    ensemble.BATCH_BYTES, so memory does not grow with their number.
     """
     x = np.asarray(x, dtype=float)
     T = np.asarray(T, dtype=float)
@@ -58,6 +63,55 @@ def log_lower_integral(s: float, x, T, c=(1.0,)):
             and ((0.0 < T) & (T <= 1.0)).all()):
         raise DomainError(f"log_lower_integral needs s > 0, c >= 0, finite x >= 0 "
                           f"and 0 < T <= 1 (s = {s})")
+    elements = np.broadcast(x, T, c[..., 0])
+    group = max(1, ensemble.BATCH_BYTES // (8 * c.shape[-1] * _BLOCK))
+    if elements.size <= group:
+        out = _log_lower_group(s, x, T, c)
+    else:
+        out = np.empty(elements.shape)
+        # each operand is cut along its own axes only, so the factors of T
+        # alone are still computed once per T, not once per element
+        for at in _row_groups(out.shape, group):
+            out[at] = _log_lower_group(s, *(_rows(v, at, out.ndim + tail)
+                                            for v, tail in ((x, 0), (T, 0), (c, 1))))
+    return float(out) if out.ndim == 0 else out
+
+
+def _row_groups(shape, size: int):
+    """Index tuples of slices that cut an array of this shape, in C order,
+    into pieces of whole trailing rows, at most size (>= 1) elements each."""
+    if not shape:
+        yield ()
+        return
+    inner = math.prod(shape[1:])
+    if inner > size:
+        for a in range(shape[0]):
+            for rest in _row_groups(shape[1:], size):
+                yield (slice(a, a + 1),) + rest
+    else:
+        step = size // inner
+        for lo in range(0, shape[0], step):
+            yield (slice(lo, lo + step),)
+
+
+def _rows(v: np.ndarray, at, ndim: int) -> np.ndarray:
+    """The part of v that broadcasts to the piece `at` of an ndim-axis
+    broadcast: v's axes of length 1, and those it lacks, stay whole."""
+    pad = ndim - v.ndim
+    return v[tuple(a if v.shape[d - pad] > 1 else slice(None)
+                   for d, a in enumerate(at) if d >= pad)]
+
+
+@functools.lru_cache(maxsize=16)
+def _binomials(k: int) -> np.ndarray:
+    """C(m, q) at row q and column m, 0 <= q, m < k; read-only, as every call shares it."""
+    binom = np.array([[math.comb(m, q) for m in range(k)] for q in range(k)])
+    binom.flags.writeable = False
+    return binom
+
+
+def _log_lower_group(s: float, x, T, c) -> np.ndarray:
+    """log_lower_integral over the broadcast of x, T and c's leading axes, at once."""
     i = np.arange(c.shape[-1])
     j = np.arange(1, _BLOCK + 1)
     y = x * T
@@ -84,12 +138,11 @@ def log_lower_integral(s: float, x, T, c=(1.0,)):
     total = total.reshape(y.shape + i.shape)
     log_scale = log_scale.reshape(y.shape)
     # the docstring's w_i, times T^i and B(s, i+1) = i!/(s (s+1) ... (s+i))
-    binom = np.array([[math.comb(m, q) for m in i] for q in i]) * c[..., None, :]
+    binom = _binomials(i.size) * c[..., None, :]
     w = (binom * (1.0 - T)[..., None, None] ** np.maximum(i - i[:, None], 0)).sum(axis=-1)
     weighted = w * T[..., None] ** i * np.cumprod(np.maximum(i, 1) / (s + i)) * total
     with np.errstate(divide="ignore"):
-        out = s * np.log(T) - y + log_scale + np.log(weighted.sum(axis=-1))
-    return float(out) if out.ndim == 0 else out
+        return s * np.log(T) - y + log_scale + np.log(weighted.sum(axis=-1))
 
 
 def log_reg_gamma_q(n: int, a):
