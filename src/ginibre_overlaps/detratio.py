@@ -157,6 +157,7 @@ def _stream_moments(n: int, beta: int, z, p_values: tuple, n_samples: int, seed:
     values nor their squares overflow before the caller applies the scale.
     Only these moment tuples are cached, never arrays."""
     spec = EnsembleSpec(n=n, beta=beta, seed=seed)
+    n = spec.n
     shifts = [2.0 * p if beta == 1 else p for p in p_values]   # q = 2p / beta
     acc = {ell: [None] * len(shifts) for ell in _L_OF_BETA[beta]}
     for lo in range(0, n_samples, chunk):

@@ -23,15 +23,14 @@ variates; beta = 2 draws 2 n^2 variates, the first n^2 forming the real
 part and the rest the imaginary part, scaled by 1/sqrt(2) so that
 E|G_jk|^2 = 1.
 
-Overlaps are computed by two independent reference routes: right
-eigenvectors from the dense nonsymmetric eigendecomposition with left
-eigenvectors as rows of the inverse eigenvector matrix (enforcing
-bi-orthonormality), and a partial Schur reduction that isolates one real
-eigenvalue and solves a shifted linear system for the coupling vector.
-Campaigns take a third route that, like the paper, conditions on one
-eigenvalue at a time: given an eigenvalue lam of G (from the eigenvalues
-alone), one bordered solve yields its right and left eigenvectors, and no
-other eigenvector of G is formed (_overlaps_bordered).
+Overlaps are computed by two routes.  The reference takes right
+eigenvectors from the dense nonsymmetric eigendecomposition and left
+eigenvectors as rows of the inverse eigenvector matrix (_overlaps_core).
+The kernel, like the paper, conditions on one eigenvalue at a time: given
+an eigenvalue lam of G (from the eigenvalues alone), one bordered solve
+yields its right and left eigenvectors, and t is the squared norm of the
+partial Schur coupling vector (_overlaps_bordered).  Campaigns and
+overlap_schur_real use the kernel.
 """
 
 from __future__ import annotations
@@ -87,12 +86,16 @@ class EnsembleSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise DomainError(f"matrix size must be a positive integer, got {self.n}")
-        if self.beta not in (1, 2):
-            raise DomainError(f"beta must be 1 (real) or 2 (complex), got {self.beta}")
-        if not (0 <= int(self.seed) < 2**64):
-            raise DomainError("seed must fit in 64 bits")
+        # each is stored back as a plain int, so 2.0 and np.int64(2) act as 2
+        for name, lo, hi in (("n", 1, math.inf), ("beta", 1, 2), ("seed", 0, 2**64 - 1)):
+            value = getattr(self, name)
+            try:
+                ok = int(value) == value and lo <= value <= hi
+            except (TypeError, ValueError, OverflowError):
+                ok = False
+            if not ok:
+                raise DomainError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass
@@ -223,7 +226,7 @@ def sample_ginibre_batch(spec: EnsembleSpec, start: int, count: int) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# overlaps: bi-orthogonal route
+# overlaps
 # ---------------------------------------------------------------------------
 
 def _overlaps_core(mats: np.ndarray):
@@ -266,7 +269,7 @@ def _solve_or_nan(m: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _bordered_pass(g: np.ndarray, lam: np.ndarray, norm_g: np.ndarray):
-    """t and the check flags of eigenvalue lam[k] of matrix g[k], every k;
+    """t and the check flag of eigenvalue lam[k] of matrix g[k], every k;
     norm_g[k] is the Frobenius norm of g[k]."""
     count, n, _ = g.shape
     m = np.zeros((count, n + 1, n + 1), dtype=lam.dtype)
@@ -281,13 +284,14 @@ def _bordered_pass(g: np.ndarray, lam: np.ndarray, norm_g: np.ndarray):
     r = _solve_or_nan(m, e)[:, :n, 0]
     u = _solve_or_nan(m.transpose(0, 2, 1), e)[:, :n, 0]
     rr = (np.abs(r) ** 2).sum(axis=1)
+    ur = np.einsum("bi,bi->b", u, r)
     with np.errstate(divide="ignore", invalid="ignore"):
-        o_diag = rr * (np.abs(u) ** 2).sum(axis=1) / np.abs(np.einsum("bi,bi->b", u, r)) ** 2
-    t = o_diag - 1.0
+        # in place, u becomes conj(P l), P the projector orthogonal to r
+        u -= (ur / rr)[:, None] * r.conj()
+        t = rr * (np.abs(u) ** 2).sum(axis=1) / np.abs(ur) ** 2
     resid = np.linalg.norm(np.matmul(shifted, r[..., None])[..., 0], axis=1)
-    ok = (np.isfinite(t)
-          & (t >= -T_NEGATIVE_TOLERANCE)
-          & (o_diag <= OVERLAP_REJECT_THRESHOLD)
+    # NaN fails both comparisons
+    ok = ((t + 1.0 <= OVERLAP_REJECT_THRESHOLD)
           & (resid <= RESIDUAL_TOLERANCE * norm_g * np.sqrt(rr)))
     return t, ok
 
@@ -297,11 +301,14 @@ def _overlaps_bordered(mats: np.ndarray, rows: np.ndarray, lam: np.ndarray):
 
     M = [[G - lam I, 1], [1^T, 0]] stays nonsingular for a simple eigenvalue
     even when G - lam I is exactly singular: the last column of M^-1 is a
-    right eigenvector r, its last row a left one l^H, and
-    t = |r|^2 |l|^2 / |l^H r|^2 - 1.  Returns (t, ok), ok flagging the values
-    that pass the checks of _overlaps_core: finite, t >= -T_NEGATIVE_TOLERANCE,
-    O below OVERLAP_REJECT_THRESHOLD and |(G - lam) r| <= RESIDUAL_TOLERANCE
-    |G| |r|; an exactly singular M gives t = NaN.
+    right eigenvector r, its last row a left one l^H.  This is the paper's
+    partial Schur decomposition without the reflector: with Q = [r/|r|, Q']
+    unitary, Q^H G Q = [[lam, w^H], [0, B]], and b = Q'^H l |r| / (r^H l)
+    solves b^H (lam - B) = w^H, so t = O - 1 = |b|^2 = |r|^2 |P l|^2 / |l^H r|^2
+    with P the projector orthogonal to r: t >= 0, and no subtraction costs
+    small t its relative accuracy.  Returns (t, ok), ok flagging finite t
+    with t + 1 <= OVERLAP_REJECT_THRESHOLD and |(G - lam) r| <=
+    RESIDUAL_TOLERANCE |G| |r|; an exactly singular M gives t = NaN.
 
     Pairs are solved in passes of at most len(mats) pairs whose bordered
     systems fit in BATCH_BYTES (at least one pair).  An eigenvalue of a real
@@ -322,8 +329,26 @@ def _overlaps_bordered(mats: np.ndarray, rows: np.ndarray, lam: np.ndarray):
         for lo in range(0, pairs.size, step):
             k = pairs[lo:lo + step]
             t[k], ok[k] = _bordered_pass(mats[rows[k]], values[k], norms[rows[k]])
-    np.clip(t, 0.0, None, out=t)
     return t, ok
+
+
+def overlap_schur_real(g: np.ndarray, lam: float) -> float:
+    """Self-overlap t for a simple real eigenvalue lam of the real matrix g.
+
+    The campaign kernel (_overlaps_bordered) on one pair.  Raises
+    DegenerateSampleError when the bordered system is singular (lam a
+    multiple eigenvalue) and DomainError when the pair fails the kernel's
+    checks (lam not an eigenvalue of g, or O above OVERLAP_REJECT_THRESHOLD).
+    """
+    g = np.asarray(g, dtype=float)
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise DomainError("overlap_schur_real expects a square real matrix")
+    t, ok = _overlaps_bordered(g[None], np.zeros(1, dtype=int), np.array([lam], dtype=float))
+    if not np.isfinite(t[0]):
+        raise DegenerateSampleError("bordered system is singular")
+    if not ok[0]:
+        raise DomainError(f"{lam} is not a simple real eigenvalue of g")
+    return float(t[0])
 
 
 def overlaps_biorthogonal(g: np.ndarray, *, matrix_index: int = 0,
@@ -364,52 +389,6 @@ def overlap_matrix_full(g: np.ndarray):
     left = np.linalg.inv(v)
     o = (left @ left.conj().T) * (v.conj().T @ v).T
     return w, o
-
-
-# ---------------------------------------------------------------------------
-# overlaps: partial Schur route (real eigenvalues of real matrices)
-# ---------------------------------------------------------------------------
-
-def overlap_schur_real(g: np.ndarray, lam: float) -> float:
-    """Self-overlap t for a simple real eigenvalue lam of the real matrix g.
-
-    Builds the reflector sending the right eigenvector to e1, reads off the
-    coupling vector w and the trailing block B of the reduced matrix, solves
-    (lam I - B)^T b = w, and returns t = b.b.  Independent of the
-    eigenvector-matrix inversion used by overlaps_biorthogonal.
-    """
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise DomainError("overlap_schur_real expects a square real matrix")
-    n = g.shape[0]
-    if n == 1:
-        if abs(g[0, 0] - lam) > RESIDUAL_TOLERANCE * max(1.0, abs(g[0, 0])):
-            raise DomainError("lam is not an eigenvalue of the 1x1 matrix")
-        return 0.0
-    norm_g = np.linalg.norm(g)
-    w_all, v_all = np.linalg.eig(g)
-    k = int(np.argmin(np.abs(w_all - lam)))
-    if abs(w_all[k] - lam) > RESIDUAL_TOLERANCE * max(norm_g, 1.0) or abs(w_all[k].imag) > 1e-6:
-        raise DomainError(f"{lam} is not a simple real eigenvalue of g")
-    x = v_all[:, k].real.copy()
-    x /= np.linalg.norm(x)
-    resid = np.linalg.norm(g @ x - lam * x)
-    if resid > RESIDUAL_TOLERANCE * max(norm_g, 1.0):
-        raise DomainError("eigen-equation residual check failed")
-
-    refl = x.copy()
-    refl[0] += math.copysign(1.0, x[0]) if x[0] != 0.0 else 1.0
-    refl /= np.linalg.norm(refl)
-    p = np.eye(n) - 2.0 * np.outer(refl, refl)
-    gt = p @ g @ p
-    coupling = gt[0, 1:]
-    block = gt[1:, 1:]
-    shifted = lam * np.eye(n - 1) - block
-    try:
-        b = np.linalg.solve(shifted.T, coupling)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSampleError("shifted trailing block is singular") from exc
-    return float(b @ b)
 
 
 # ---------------------------------------------------------------------------

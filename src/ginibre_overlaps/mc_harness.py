@@ -90,9 +90,9 @@ class ConditionedHistogram:
     underflow + sum(counts) + overflow == n_samples exactly.  n_rejected
     counts the matrices left out: those with a non-finite eigenvalue or
     with a windowed eigenvalue whose overlap fails a check (non-finite,
-    t < -T_NEGATIVE_TOLERANCE, O > OVERLAP_REJECT_THRESHOLD, or an
-    eigen-residual above RESIDUAL_TOLERANCE ||G|| ||r||); eigenvalues
-    outside the window are not checked.
+    O > OVERLAP_REJECT_THRESHOLD, or an eigen-residual above
+    RESIDUAL_TOLERANCE ||G|| ||r||); eigenvalues outside the window are not
+    checked.  t >= 0 by construction, so there is no check on its sign.
     """
 
     window: Window
@@ -224,11 +224,13 @@ def run_campaign(spec: EnsembleSpec, n_matrices: int, window: Window, *,
     when no eigenvalue lands in the window.
     """
     _validate_counts(n_matrices, chunk)
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
     edges = default_bin_edges(spec.n) if bin_edges is None else np.asarray(bin_edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0) or edges[0] <= 0:
         raise DomainError("bin edges must be a strictly increasing positive sequence")
     stop = start_index + n_matrices
-    if threads <= 1:
+    if threads == 1:
         hist = _campaign_range(spec, start_index, stop, window, edges, chunk)
     else:
         shard = min(chunk, -(-n_matrices // threads))

@@ -109,6 +109,16 @@ class TestCompareCommand:
         assert rc == 2
         assert json.loads(_read(out))["report"]["pass"] is False
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_a_validation_failure(self, tmp_path, capsys, threads):
+        out = tmp_path / "report.json"
+        rc = dispatch(["compare", "--beta", "2", "--n", "4", "--matrices", "200",
+                       "--window", "annulus:0:0.5", "--threads", threads,
+                       "--out", str(out)])
+        assert rc == 1
+        assert "threads" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDetratioCommand:
     def test_closed_and_mc_columns(self, tmp_path):

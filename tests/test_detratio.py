@@ -198,6 +198,16 @@ class TestQueryValidation:
         with pytest.raises(DomainError):
             detratio.detratio_mc_sweep(4, beta, L, z, [p], 2000)
 
+    def test_integral_float_n_as_int(self, fresh_streams):
+        # the float first, so the cache cannot hand it the int's result
+        got = detratio.detratio_mc_sweep(4.0, 2, 1, 0.5, [1.0], 2000, seed=3)
+        detratio._stream_moments.cache_clear()
+        assert got == detratio.detratio_mc_sweep(4, 2, 1, 0.5, [1.0], 2000, seed=3)
+        with pytest.raises(DomainError):
+            detratio.detratio_mc_sweep(4.5, 2, 1, 0.5, [1.0], 2000)
+        with pytest.raises(DomainError):
+            detratio.detratio_mc_sweep(4, 2, 1, 0.5, [1.0], 2000, seed=1.5)
+
     @pytest.mark.parametrize("chunk", [0, -5])
     def test_chunk_below_one(self, chunk):
         with pytest.raises(DomainError):

@@ -105,6 +105,23 @@ class TestSampling:
         with pytest.raises(DomainError):
             ens.sample_ginibre(ens.EnsembleSpec(n=2, beta=1), -1)
 
+    def test_integral_values_stored_as_int(self):
+        for n, beta, seed in ((2.0, 1, 5.0), (np.int64(2), np.int64(1), np.int64(5)),
+                              (np.float64(2.0), 1.0, np.uint64(5))):
+            spec = ens.EnsembleSpec(n=n, beta=beta, seed=seed)
+            assert spec == ens.EnsembleSpec(n=2, beta=1, seed=5)
+            assert all(type(v) is int for v in (spec.n, spec.beta, spec.seed))
+            assert np.array_equal(ens.sample_ginibre_batch(spec, 0, 3),
+                                  ens.sample_ginibre_batch(ens.EnsembleSpec(2, 1, 5), 0, 3))
+
+    @pytest.mark.parametrize("field,value", [("n", 2.5), ("n", math.nan), ("n", math.inf),
+                                             ("n", "3"), ("seed", 1.5), ("seed", math.nan),
+                                             ("seed", -1), ("seed", 2**64), ("seed", None)])
+    def test_non_integral_n_or_seed_rejected(self, field, value):
+        kwargs = {"n": 3, "beta": 1, "seed": 0, field: value}
+        with pytest.raises(DomainError):
+            ens.EnsembleSpec(**kwargs)
+
 
 class TestBiorthogonalOverlaps:
     def test_triangular_closed_form(self):
@@ -191,6 +208,70 @@ class TestSchurRoute:
         g = np.diag([1.0, 2.0, 3.0])
         with pytest.raises(DomainError):
             ens.overlap_schur_real(g, 10.0)
+
+
+def _rotated_triangular(n, beta, rng):
+    """Q T Q^H: well-separated diagonal, off-diagonal entries of size 1e-4,
+    so every t is ~1e-8 or smaller."""
+    diag = np.linspace(-1.0, 1.0, n)
+    off = 1e-4 * rng.standard_normal((n, n))
+    a = rng.standard_normal((n, n))
+    if beta == 2:
+        diag = diag + 0.5j * rng.standard_normal(n)
+        off = off + 1e-4j * rng.standard_normal((n, n))
+        a = a + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(a)
+    return q @ (np.triu(off, 1) + np.diag(diag)) @ q.conj().T
+
+
+def _mpmath_t(g):
+    """(eigenvalue, t) pairs of g from 40-digit left and right eigenvectors."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        e, el, er = mpmath.eig(mpmath.matrix(g.tolist()), left=True, right=True)
+        n = g.shape[0]
+        out = []
+        for k in range(n):
+            ll = mpmath.fsum(abs(el[k, j]) ** 2 for j in range(n))
+            rr = mpmath.fsum(abs(er[j, k]) ** 2 for j in range(n))
+            lr = abs(mpmath.fsum(el[k, j] * er[j, k] for j in range(n))) ** 2
+            out.append((complex(e[k]), float(ll * rr / lr - 1)))
+    return out
+
+
+class TestBorderedKernel:
+    """ensemble._overlaps_bordered: t as the partial-Schur |b|^2."""
+
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_small_t_against_mpmath(self, beta):
+        rng = np.random.default_rng(40 + beta)
+        worst, smallest = 0.0, math.inf
+        for n in (2, 5):
+            for _ in range(8):
+                g = _rotated_triangular(n, beta, rng)
+                w = np.linalg.eigvals(g)
+                t, ok = ens._overlaps_bordered(g[None], np.zeros(n, dtype=int), w)
+                assert ok.all()
+                ref = _mpmath_t(g)
+                for k in range(n):
+                    t_ref = min(ref, key=lambda pair: abs(pair[0] - w[k]))[1]
+                    worst = max(worst, abs(t[k] - t_ref) / t_ref)
+                    smallest = min(smallest, t_ref)
+        assert smallest < 1e-9
+        assert worst <= 1e-9
+
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_hermitian_t_vanishes(self, beta):
+        rng = np.random.default_rng(50 + beta)
+        for _ in range(10):
+            a = rng.standard_normal((6, 6))
+            if beta == 2:
+                a = a + 1j * rng.standard_normal((6, 6))
+            h = a + a.conj().T
+            w = np.linalg.eigvals(h)
+            t, ok = ens._overlaps_bordered(h[None], np.zeros(6, dtype=int), w)
+            assert ok.all()
+            assert (t >= 0.0).all() and t.max() <= 1e-24
 
 
 class TestClassification:

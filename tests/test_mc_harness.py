@@ -101,6 +101,13 @@ class TestCampaign:
         assert np.array_equal(one.counts, many.counts)
         assert one.n_samples == many.n_samples
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        spec = EnsembleSpec(n=4, beta=2, seed=11)
+        win = mh.Window(kind=mh.ANNULUS, lo=0.0, hi=1.2)
+        with pytest.raises(DomainError, match="threads"):
+            mh.run_campaign(spec, 100, win, threads=threads)
+
     def test_empty_window(self):
         spec = EnsembleSpec(n=4, beta=2, seed=0)
         far = mh.Window(kind=mh.ANNULUS, lo=10.0 * 2.0, hi=11.0 * 2.0)
