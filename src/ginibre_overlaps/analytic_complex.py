@@ -35,8 +35,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun
-from .analytic_real import _as_t, _validate_n
-from .errors import DomainError
+from .analytic_real import _as_t
+from .errors import DomainError, integer
 from .quadrature import DEFAULT_SPEC, QuadSpec, integrate_semi_infinite
 
 
@@ -174,13 +174,19 @@ class CoeffBundle:
         return self.d1 * s, self.d2 * s, self.D1 * s, self.D2 * s
 
 
+def _checked_logs(n: int, z_abs_sq: float):
+    """(n, a, _normalized_logs(n, a)) for an integer n >= 2 and a = |z|^2
+    finite and >= 0."""
+    n = integer("n", n, 2)
+    a = float(z_abs_sq)
+    if not 0.0 <= a < math.inf:   # also rejects NaN
+        raise DomainError(f"|z|^2 must be finite and >= 0, got {z_abs_sq}")
+    return n, a, _normalized_logs(n, a)
+
+
 def coeffs(n: int, z_abs_sq: float) -> CoeffBundle:
     """Coefficient bundle of the finite-N joint density at (n, |z|^2)."""
-    n = _validate_n(n)
-    a = float(z_abs_sq)
-    if a < 0.0:
-        raise DomainError(f"|z|^2 must be >= 0, got {z_abs_sq}")
-    logs = _normalized_logs(n, a)
+    n, a, logs = _checked_logs(n, z_abs_sq)
     lgg = specfun.log_gamma(float(n)) + specfun.log_gamma(float(n - 1))
     true_logs = [lv + lgg for lv in logs]
     top = max(true_logs)
@@ -196,11 +202,7 @@ def coeffs(n: int, z_abs_sq: float) -> CoeffBundle:
 def _bracket(n: int, z_abs_sq: float):
     """(n, a, top, g1, g2, g3): P = (e^{top + a om}/pi) tau^{n-2} (1+t)^{-3}
     [g1 + g2 om + g3 om^2] with om = 1/(1+t) = 1 - tau and a = |z|^2."""
-    n = _validate_n(n)
-    a = float(z_abs_sq)
-    if not a >= 0.0:   # also rejects NaN
-        raise DomainError(f"|z|^2 must be >= 0, got {z_abs_sq}")
-    l1, _, l3, l4 = _normalized_logs(n, a)
+    n, a, (l1, _, l3, l4) = _checked_logs(n, z_abs_sq)
     top = max(l1, l3, l4)
     return n, a, top, math.exp(l3 - top), a * math.exp(l4 - top), a * a * math.exp(l1 - top)
 
@@ -232,20 +234,21 @@ def jpd_complex_cumulative(n: int, t, z_abs_sq):
     (the bracket is taken per |z|^2).  Tends to density_complex(n, a) as
     t -> inf.
     """
+    n = integer("n", n, 2)
     scalar = np.isscalar(t) and np.isscalar(z_abs_sq)
     tb = _as_t(t)
     a = np.asarray(z_abs_sq, dtype=float)
-    _, _, top, g1, g2, g3 = (np.reshape(v, a.shape)
-                             for v in zip(*(_bracket(n, x) for x in a.ravel())))
-    weights = np.stack([np.zeros(a.shape), g1, g2, g3], axis=-1)
+    # (top, g1, g2, g3) per |z|^2; an empty a gives an empty (..., 4) array
+    b = np.array([_bracket(n, x)[2:] for x in a.ravel()]).reshape(a.shape + (4,))
+    weights = np.concatenate([np.zeros(a.shape + (1,)), b[..., 1:]], axis=-1)
     log_i = specfun.log_lower_integral(n - 1, a, tb / (1.0 + tb), weights)
-    out = np.exp(top + a - math.log(math.pi) + log_i)
+    out = np.exp(b[..., 0] + a - math.log(math.pi) + log_i)
     return float(out) if scalar else out
 
 
 def jpd_complex_zero(n: int, t):
     """P(t, z=0) = N(N-1)/pi * t^{N-2}/(1+t)^{N+1}; the z=0 simplification."""
-    n = _validate_n(n)
+    n = integer("n", n, 2)
     scalar = np.isscalar(t)
     tb = _as_t(t)
     log_tau = np.log(tb) - np.log1p(tb)
@@ -257,7 +260,7 @@ def jpd_complex_zero(n: int, t):
 
 def density_complex(n: int, z_abs_sq):
     """Mean eigenvalue density (1/pi) e^{-|z|^2} sum_{k<n} |z|^{2k}/k!, n >= 1."""
-    return specfun.reg_gamma_q(_validate_n(n, minimum=1), z_abs_sq) / math.pi
+    return specfun.reg_gamma_q(n, z_abs_sq) / math.pi
 
 
 def jpd_complex_bulk(s, w_abs):
@@ -317,7 +320,7 @@ def sensitivity_density(n: int, w_abs_sq: float, z_abs_sq: float,
     t-integral is taken in units of that density, rho(z), so that the
     quadrature's absolute tolerance does not swamp small values.
     """
-    n = _validate_n(n)
+    n = integer("n", n, 2)
     w2 = float(w_abs_sq)
     if not w2 >= 0.0:   # also rejects NaN
         raise DomainError(f"|w|^2 must be >= 0, got {w_abs_sq}")

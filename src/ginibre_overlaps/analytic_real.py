@@ -29,24 +29,18 @@ import math
 import numpy as np
 
 from . import specfun
-from .errors import DomainError
+from .errors import DomainError, integer
 
 _C0 = 1.0 / (2.0 * math.sqrt(2.0 * math.pi))
 _LN_C0 = math.log(_C0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _validate_n(n: int, minimum: int = 2) -> int:
-    if int(n) != n or n < minimum:
-        raise DomainError(f"matrix size must be an integer >= {minimum}, got {n}")
-    return int(n)
-
-
 def _as_t(t) -> np.ndarray:
-    """The overlap variable as a float array; every entry must be > 0."""
+    """The overlap variable as a float array; every entry must be finite and > 0."""
     tb = np.asarray(t, dtype=float)
-    if np.any(tb <= 0.0):
-        raise DomainError("overlap variable t must be > 0")
+    if not ((tb > 0.0) & (tb < np.inf)).all():   # also rejects NaN
+        raise DomainError("overlap variable t must be finite and > 0")
     return tb
 
 
@@ -71,7 +65,7 @@ def jpd_real(n: int, t, lam, form: str = "gamma"):
     Both forms agree to ~1e-13 relative; "gamma" is the default evaluator,
     "sum" is the manifestly positive cross-check.
     """
-    n = _validate_n(n)
+    n = integer("n", n, 2)
     scalar = np.isscalar(t) and np.isscalar(lam)
     tb, lb, shape = _as_flat(t, lam)
     a = lb * lb
@@ -109,7 +103,7 @@ def jpd_real_cumulative(n: int, t, lam):
     loses at most about a digit past the edge).  Tends to density_real(n,
     lambda) as t -> inf.
     """
-    n = _validate_n(n)
+    n = integer("n", n, 2)
     scalar = np.isscalar(t) and np.isscalar(lam)
     tb = _as_t(t)
     a = np.asarray(lam, dtype=float) ** 2
@@ -140,7 +134,7 @@ def density_real(n: int, lam):
     integrates over the real line to the expected number of real eigenvalues.
     Elementwise over lambda; returns float for scalar input.
     """
-    n = _validate_n(n)
+    n = integer("n", n, 2)
     lam_abs = np.abs(np.asarray(lam, dtype=float))
     a = lam_abs * lam_abs
     term1 = specfun.reg_gamma_q(n - 1, a) / _SQRT_2PI

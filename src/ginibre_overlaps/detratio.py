@@ -47,9 +47,9 @@ import numpy as np
 
 from . import specfun
 from .analytic_complex import _bracket
-from .analytic_real import _log_eks_integral, _validate_n
+from .analytic_real import _log_eks_integral
 from .ensemble import EnsembleSpec, sample_ginibre_batch
-from .errors import DomainError
+from .errors import DomainError, integer
 from .quadrature import DEFAULT_SPEC, QuadSpec, integrate_semi_infinite
 
 _L_OF_BETA = {1: (0, 2), 2: (0, 1, 2)}
@@ -75,7 +75,8 @@ class DetRatioQuery:
     p: float
 
     def __post_init__(self):
-        _validate_n(self.n, minimum=1)
+        for name, lo, hi in (("n", 1, math.inf), ("beta", 1, 2), ("L", 0, 2)):
+            object.__setattr__(self, name, integer(name, getattr(self, name), lo, hi))
         if (self.beta, self.L) not in _SUPPORTED:
             raise DomainError(f"unsupported (beta, L) = ({self.beta}, {self.L})")
         if self.beta == 1 and abs(complex(self.z).imag) > 0.0:
@@ -190,10 +191,9 @@ def detratio_mc_sweep(n: int, beta: int, L: int, z, p_values, n_samples: int, *,
     for q in queries:
         if q.p <= 0.0:
             raise DomainError("Monte Carlo estimation requires p > 0")
-    if n_samples < 1000:
-        raise DomainError("need at least 1e3 samples for a meaningful estimate")
-    if chunk < 1:
-        raise DomainError(f"chunk must be >= 1, got {chunk}")
+    # at least 1e3 samples for a meaningful estimate
+    n_samples = integer("n_samples", n_samples, 1000)
+    chunk = integer("chunk", chunk, 1)
     zc = complex(z) if beta == 2 else complex(z).real
     out = []
     for cnt, top, mean, m2 in _stream_moments(n, beta, zc, tuple(p_values), n_samples,
@@ -285,7 +285,7 @@ def detratio_real_l2_p0(n: int, lam: float) -> float:
     (2/(2^{n/2} Gamma(n/2))) [e^{lam^2/2} Gamma(n, lam^2)
                               + |lam|^n int_0^{|lam|} e^{-u^2/2} u^{n-1} du]
     """
-    n = _validate_n(n, minimum=1)
+    n = integer("n", n, 1)
     lam = abs(float(lam))
     a = lam * lam
     ln_norm = _LN2 - 0.5 * n * _LN2 - specfun.log_gamma(0.5 * n)
@@ -300,7 +300,7 @@ def detratio_real_l2_p0(n: int, lam: float) -> float:
 def mean_det_sq_real(n: int, lam: float) -> float:
     """<det^2(lam I - G)> over the real Ginibre ensemble:
     lam^{2n} + e^{lam^2} n Gamma(n, lam^2), assembled in log space."""
-    n = _validate_n(n, minimum=1)
+    n = integer("n", n, 1)
     lam = abs(float(lam))
     a = lam * lam
     term2 = math.log(n) + a + specfun.log_gamma_upper(n, a)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSampleError, DomainError
+from .errors import DegenerateSampleError, DomainError, integer
 
 #: reject a matrix when any self-overlap exceeds this (near-degenerate spectrum)
 OVERLAP_REJECT_THRESHOLD = 1e12
@@ -88,14 +88,7 @@ class EnsembleSpec:
     def __post_init__(self):
         # each is stored back as a plain int, so 2.0 and np.int64(2) act as 2
         for name, lo, hi in (("n", 1, math.inf), ("beta", 1, 2), ("seed", 0, 2**64 - 1)):
-            value = getattr(self, name)
-            try:
-                ok = int(value) == value and lo <= value <= hi
-            except (TypeError, ValueError, OverflowError):
-                ok = False
-            if not ok:
-                raise DomainError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, integer(name, getattr(self, name), lo, hi))
 
 
 @dataclass
@@ -186,7 +179,7 @@ def _stream(spec: EnsembleSpec, start: int, count: int) -> np.ndarray:
     """Philox words of matrices start..start+count-1, one row per matrix."""
     words = _words_per_matrix(spec)
     philox = _philox_grid if words <= GRID_MAX_WORDS else _philox_c
-    return philox(int(spec.seed), int(start), count, words)
+    return philox(spec.seed, start, count, words)
 
 
 def _normals(words: np.ndarray, count: int) -> np.ndarray:
@@ -207,12 +200,8 @@ def sample_ginibre(spec: EnsembleSpec, index: int) -> np.ndarray:
 
 def sample_ginibre_batch(spec: EnsembleSpec, start: int, count: int) -> np.ndarray:
     """Matrices start .. start+count-1 stacked; identical to per-index calls."""
-    if start < 0:
-        raise DomainError(f"matrix index must be >= 0, got {start}")
-    if count < 0:
-        raise DomainError(f"matrix count must be >= 0, got {count}")
-    if start + count > MAX_INDEX + 1:
-        raise DomainError(f"matrix index must be <= 2**64 - 2, got {start + count - 1}")
+    start = integer("matrix index", start, 0, MAX_INDEX)
+    count = integer("matrix count", count, 0, MAX_INDEX + 1 - start)
     n, nn = spec.n, spec.n * spec.n
     out = np.empty((count, n, n), dtype=float if spec.beta == 1 else complex)
     per_slice = max(1, SLICE_WORDS // _words_per_matrix(spec))

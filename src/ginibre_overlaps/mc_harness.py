@@ -37,7 +37,7 @@ from .ensemble import (
     near_real,
     sample_ginibre_batch,
 )
-from .errors import DomainError, EmptyWindowError, InsufficientSamplesError
+from .errors import DomainError, EmptyWindowError, InsufficientSamplesError, integer
 # integrate_finite is unused here: the benchmark's mc_harness.cdf_inner_s and
 # mc_harness.cdf_inner_calls are the spans of this module's binding of it, and
 # read 0 now that the t-integral is in closed form.  Without the binding both
@@ -191,18 +191,13 @@ def _campaign_range(spec: EnsembleSpec, start: int, stop: int, window: Window,
                                 n_matrices=stop - start, n_rejected=rejected, spec=spec)
 
 
-def _validate_counts(n_matrices: int, chunk: int) -> None:
-    if n_matrices < 1:
-        raise DomainError("n_matrices must be >= 1")
-    if chunk < 1:
-        raise DomainError(f"chunk must be >= 1, got {chunk}")
-
-
 def collect_overlaps(spec: EnsembleSpec, n_matrices: int, window: Window, *,
                      start_index: int = 0, chunk: int = 4096) -> np.ndarray:
     """Raw windowed overlap values (for moment estimates rather than
     histograms).  Same selection rules, determinism and chunk as run_campaign."""
-    _validate_counts(n_matrices, chunk)
+    n_matrices = integer("n_matrices", n_matrices, 1)
+    start_index = integer("start_index", start_index, 0)
+    chunk = integer("chunk", chunk, 1)
     pieces = [ts for ts, _ in _windowed_chunks(spec, start_index, start_index + n_matrices,
                                                window, chunk) if ts.size]
     if not pieces:
@@ -223,9 +218,10 @@ def run_campaign(spec: EnsembleSpec, n_matrices: int, window: Window, *,
     does not grow with chunk, n or the window.  Raises EmptyWindowError
     when no eigenvalue lands in the window.
     """
-    _validate_counts(n_matrices, chunk)
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
+    n_matrices = integer("n_matrices", n_matrices, 1)
+    threads = integer("threads", threads, 1)
+    start_index = integer("start_index", start_index, 0)
+    chunk = integer("chunk", chunk, 1)
     edges = default_bin_edges(spec.n) if bin_edges is None else np.asarray(bin_edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0) or edges[0] <= 0:
         raise DomainError("bin edges must be a strictly increasing positive sequence")

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import ensemble
-from .errors import DomainError
+from .errors import DomainError, integer
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -148,15 +148,14 @@ def _log_lower_group(s: float, x, T, c) -> np.ndarray:
 def log_reg_gamma_q(n: int, a):
     """log Q(n, a), finite for every finite a >= 0.
 
-    n must be a positive integer; a >= 0 (scalar or array-like, applied
-    elementwise).  For a > n, log of e^{-a} sum_{k<n} a^k/k! from its largest term
-    down; for a <= n, log1p(-P) with P = a^n e^{log_lower_integral}/Gamma(n) < 0.64.
+    n a positive integer, a finite and >= 0 (scalar or array-like, elementwise).
+    For a > n, log of e^{-a} sum_{k<n} a^k/k! from its largest term down; for
+    a <= n, log1p(-P) with P = a^n e^{log_lower_integral}/Gamma(n) < 0.64.
     """
-    if n < 1 or int(n) != n:
-        raise DomainError(f"reg_gamma_q requires integer n >= 1, got {n}")
+    n = integer("n", n, 1)
     a = np.asarray(a, dtype=float)
-    if not (a >= 0.0).all():   # also rejects NaN
-        raise DomainError(f"reg_gamma_q requires a >= 0, got {a}")
+    if not ((a >= 0.0) & (a < np.inf)).all():   # also rejects NaN
+        raise DomainError(f"reg_gamma_q requires finite a >= 0, got {a}")
     out = np.empty(a.shape)
     up = a > n
     if up.any():
@@ -175,7 +174,7 @@ def log_reg_gamma_q(n: int, a):
 def reg_gamma_q(n: int, a) -> float:
     """Regularized upper incomplete gamma Q(n, a) = Gamma(n, a)/Gamma(n).
 
-    n must be a positive integer; a >= 0 (scalar or array-like, applied
+    n must be a positive integer; a finite and >= 0 (scalar or array-like,
     elementwise).  Q(n, 0) = 1 and Q is monotone decreasing in a.
     """
     log_q = log_reg_gamma_q(n, a)

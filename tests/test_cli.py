@@ -246,5 +246,16 @@ class TestUsage:
                       "--t-grid", "log:1e-2:1e2:nan"]):
             assert dispatch(argv) == 1, argv
 
+    @pytest.mark.parametrize("argv", [
+        ["density", "--ensemble", "complex", "--n", "4", "--grid", "log:1e-1:inf:3"],
+        ["analytic", "--ensemble", "complex", "--n", "4", "--abs-z", "0.5",
+         "--t-grid", "log:1e-1:inf:3"]], ids=["density", "analytic"])
+    def test_infinite_grid_bound_exit_1(self, argv, capsys):
+        # an infinite bound gives inf grid points: no inf,nan rows, an error line
+        assert dispatch(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: " in err and "Traceback" not in err
+
     def test_no_command_exit_1(self):
         assert dispatch([]) == 1
