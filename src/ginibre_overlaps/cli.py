@@ -41,6 +41,8 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError:
         raise DomainError(f"grid bounds and count must be numbers, got {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"grid bounds must be finite, got {text!r}")
     if count < 1 or not lo < hi:
         raise DomainError(f"bad grid bounds in {text!r}")
     if parts[0] == "log":

@@ -27,13 +27,16 @@ evaluated by adaptive quadrature.
 
 A brute-force Monte Carlo estimator is the oracle that validates the closed
 forms.  Per matrix A = z - G it takes log|det A| and log det(qI + A^H A),
-q = 2p/beta, from one Gram product A^H A, one slogdet of A and one slogdet
-per shift; where the Gram rounding bound exceeds _GRAM_LOGDET_TOL (huge |z|,
-tiny p) it takes the singular values of A.  None of these depends on L, so
-one pass over a (beta, z) matrix stream accumulates every supported L of
+q = 2p/beta, from one Gram product A^H A and one slogdet call over A and its
+shifted Grams; where the Gram rounding bound exceeds _GRAM_LOGDET_TOL (huge
+|z|, tiny p) it takes the singular values of A.  None of these depends on L,
+so one pass over a (beta, z) matrix stream accumulates every supported L of
 beta, and the pass's moments are cached: the other L of that stream draw no
 matrices.  Values are accumulated in log space, so determinants never
-overflow.
+overflow.  A chunk (the unit of the moment merge) is sampled and taken in
+steps whose matrices fit in ensemble.BATCH_BYTES, down to one matrix at
+large n; only 1 + len(p) floats per matrix of the chunk outlive a step,
+so peak memory does not grow with chunk x n^2.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import specfun
+from . import ensemble, specfun
 from .analytic_complex import _bracket
 from .analytic_real import _log_eks_integral
 from .ensemble import EnsembleSpec, sample_ginibre_batch
@@ -91,46 +94,46 @@ class DetRatioQuery:
 # Monte Carlo estimator
 # ---------------------------------------------------------------------------
 
-def _sample_log_values(a: np.ndarray, beta: int, shifts) -> dict:
-    """{L: [beta L log|det A| - (beta/2) log det(qI + A^H A), one array per
-    shift q]} for every matrix A of the stack a and every supported L of beta.
+def _sample_log_values(spec: EnsembleSpec, z, start: int, shifts, buf: np.ndarray,
+                       log_abs_det: np.ndarray, halves: np.ndarray) -> None:
+    """Sample matrices start .. start+m-1 of the stream (m = len(log_abs_det)),
+    and write log|det A| of A = z I - G into log_abs_det and
+    (beta/2) log det(qI + A^H A) per shift q into the rows of halves.
 
-    log|det A| and each log det(qI + A^H A) are taken once and read by every
-    L.  A matrix with n eps tr(A^H A) / min(q) above _GRAM_LOGDET_TOL takes
-    its singular values; only the others take the Gram route (one Gram
-    product, one slogdet of A, one slogdet per shift).  L = 0 keeps a literal
-    0.0 term, so an exactly singular A (log|det A| = -inf) cannot make 0 * -inf.
+    The front of buf becomes one stack: A, then the Gram product shifted by
+    each q in turn, so one slogdet call takes every log-determinant of the
+    step.  A matrix with n eps tr(A^H A) / min(q) above _GRAM_LOGDET_TOL takes
+    its singular values; only the others take the Gram route.
     """
-    cnt, n, _ = a.shape
-    parts = a.reshape(cnt, n * n).view(float)    # real (and imaginary) parts
+    n, beta, m = spec.n, spec.beta, len(log_abs_det)
+    a = buf[:m]
+    np.negative(sample_ginibre_batch(spec, start, m), out=a)
+    a.reshape(m, n * n)[:, ::n + 1] += z        # a = z I - G, in place
+    parts = a.reshape(m, n * n).view(float)     # real (and imaginary) parts
     trace = np.einsum("ij,ij->i", parts, parts)  # tr(A^H A), no temporary
     fallback = n * np.finfo(float).eps * trace > _GRAM_LOGDET_TOL * min(shifts)
-    has_fallback = bool(fallback.any())
-    kept = a[~fallback] if has_fallback else a
-    gram = np.matmul(kept.transpose(0, 2, 1) if beta == 1 else kept.conj().transpose(0, 2, 1),
-                     kept)
-    log_abs_det = np.linalg.slogdet(kept)[1]
-    shifted = np.empty_like(gram)
-    halves = []   # (beta/2) log det(qI + A^H A), per shift
-    for q in shifts:
-        np.copyto(shifted, gram)
-        shifted.reshape(len(kept), n * n)[:, ::n + 1] += q
-        halves.append(0.5 * beta * np.linalg.slogdet(shifted)[1])
-    if has_fallback:
+    kept = slice(None)
+    if fallback.any():
         svals = np.linalg.svd(a[fallback], compute_uv=False)
-        log_abs_det = _with_rows(log_abs_det, fallback, np.log(svals).sum(axis=1))
-        halves = [_with_rows(h, fallback, 0.5 * beta * np.log(q + svals**2).sum(axis=1))
-                  for h, q in zip(halves, shifts)]
-    return {ell: [(beta * ell * log_abs_det if ell else 0.0) - h for h in halves]
-            for ell in _L_OF_BETA[beta]}
-
-
-def _with_rows(kept_values: np.ndarray, fallback: np.ndarray, fallback_values: np.ndarray):
-    """One array over the whole stack from the values of its two routes."""
-    out = np.empty(fallback.size)
-    out[~fallback] = kept_values
-    out[fallback] = fallback_values
-    return out
+        log_abs_det[fallback] = np.log(svals).sum(axis=1)
+        for h, q in zip(halves, shifts):
+            h[fallback] = 0.5 * beta * np.log(q + svals**2).sum(axis=1)
+        kept = ~fallback
+        m = int(kept.sum())
+        if m == 0:
+            return
+        a[:m] = a[kept]                          # the Gram route's matrices first
+        a = a[:m]
+    stack = buf[:(1 + len(shifts)) * m]
+    slots = stack.reshape(1 + len(shifts), m, n, n)
+    gram = np.matmul(a.transpose(0, 2, 1) if beta == 1 else a.conj().transpose(0, 2, 1), a,
+                     out=slots[1])
+    slots[2:] = gram
+    for shifted, q in zip(slots[1:], shifts):
+        shifted.reshape(m, n * n)[:, ::n + 1] += q
+    logs = np.linalg.slogdet(stack)[1].reshape(1 + len(shifts), m)
+    log_abs_det[kept] = logs[0]
+    halves[:, kept] = 0.5 * beta * logs[1:]
 
 
 def _merge_moments(a, b):
@@ -158,16 +161,27 @@ def _stream_moments(n: int, beta: int, z, p_values: tuple, n_samples: int, seed:
     values nor their squares overflow before the caller applies the scale.
     Only these moment tuples are cached, never arrays."""
     spec = EnsembleSpec(n=n, beta=beta, seed=seed)
-    n = spec.n
     shifts = [2.0 * p if beta == 1 else p for p in p_values]   # q = 2p / beta
+    # a step holds 2 + len(shifts) arrays of step matrices at once: the stack
+    # (A and one shifted Gram per shift) and either the sampled batch or the
+    # conjugate copy that the Gram product makes
+    matrix_bytes = 8 * beta * spec.n * spec.n
+    step = max(1, min(chunk, n_samples,
+                      ensemble.BATCH_BYTES // ((2 + len(shifts)) * matrix_bytes)))
+    buf = np.empty(((1 + len(shifts)) * step, spec.n, spec.n), float if beta == 1 else complex)
     acc = {ell: [None] * len(shifts) for ell in _L_OF_BETA[beta]}
     for lo in range(0, n_samples, chunk):
         cnt = min(chunk, n_samples - lo)
-        a = sample_ginibre_batch(spec, lo, cnt)
-        np.negative(a, out=a)
-        a.reshape(cnt, n * n)[:, ::n + 1] += z      # a = z I - G, in place
-        for ell, per_shift in _sample_log_values(a, beta, shifts).items():
-            for i, logs in enumerate(per_shift):
+        log_abs_det, halves = np.empty(cnt), np.empty((len(shifts), cnt))
+        for s in range(0, cnt, step):
+            e = min(s + step, cnt)
+            _sample_log_values(spec, z, lo + s, shifts, buf, log_abs_det[s:e], halves[:, s:e])
+        for ell in _L_OF_BETA[beta]:
+            # L = 0 keeps a literal 0.0 term, so an exactly singular A
+            # (log|det A| = -inf) cannot make 0 * -inf
+            num = beta * ell * log_abs_det if ell else 0.0
+            for i, h in enumerate(halves):
+                logs = num - h
                 top = float(logs.max())
                 vals = np.exp(logs - top)
                 mean = float(vals.mean())

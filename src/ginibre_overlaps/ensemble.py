@@ -69,6 +69,7 @@ MAX_INDEX = 2**64 - 2
 _PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _MASK64 = 2**64 - 1
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
@@ -187,10 +188,9 @@ def _normals(words: np.ndarray, count: int) -> np.ndarray:
     u = (words >> np.uint64(11)) * 2.0**-53     # top 53 bits, uniform in [0, 1)
     r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))  # 1 - u in (0, 1], no log(0)
     theta = (2.0 * np.pi) * u[:, 1::2]
-    z = np.empty(u.shape)
-    z[:, 0::2] = r * np.cos(theta)
-    z[:, 1::2] = r * np.sin(theta)
-    return z[:, :count]
+    u[:, 0::2] = r * np.cos(theta)              # u is not read again: reuse it
+    u[:, 1::2] = r * np.sin(theta)
+    return u[:, :count]
 
 
 def sample_ginibre(spec: EnsembleSpec, index: int) -> np.ndarray:
@@ -208,9 +208,14 @@ def sample_ginibre_batch(spec: EnsembleSpec, start: int, count: int) -> np.ndarr
     for lo in range(0, count, per_slice):
         m = min(per_slice, count - lo)
         z = _normals(_stream(spec, start + lo, m), spec.beta * nn)
-        if spec.beta == 2:
-            z = (z[:, :nn] + 1j * z[:, nn:]) / math.sqrt(2.0)
-        out[lo:lo + m] = z.reshape(m, n, n)
+        if spec.beta == 1:
+            out[lo:lo + m] = z.reshape(m, n, n)
+        else:
+            # the bits of (re + 1j im) / sqrt(2): numpy divides by sqrt(2) + 0j,
+            # which is re and im times fl(1/sqrt(2))
+            block = out[lo:lo + m].reshape(m, nn)
+            np.multiply(z[:, :nn], _INV_SQRT2, out=block.real)
+            np.multiply(z[:, nn:], _INV_SQRT2, out=block.imag)
     return out
 
 

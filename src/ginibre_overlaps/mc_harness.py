@@ -262,8 +262,8 @@ def _outer_nodes(window: Window, spec: EnsembleSpec):
         def rho(r):
             return 2.0 * math.pi * r * analytic_complex.density_complex(spec.n, r * r)
 
-    pts = np.linspace(window.lo, window.hi, 5)
-    panels = [(pts[i], pts[i + 1], *kronrod_panel(rho, pts[i], pts[i + 1])) for i in range(4)]
+    pts = np.linspace(window.lo, window.hi, 5).tolist()
+    panels = list(zip(pts[:-1], pts[1:], *kronrod_panel(rho, pts[:-1], pts[1:])))
     while len(panels) < 64:
         total = sum(p[2] for p in panels)
         err = sum(p[3] for p in panels)
@@ -272,8 +272,8 @@ def _outer_nodes(window: Window, spec: EnsembleSpec):
         worst = max(range(len(panels)), key=lambda i: panels[i][3])
         a, b, _, _ = panels.pop(worst)
         m = 0.5 * (a + b)
-        panels.append((a, m, *kronrod_panel(rho, a, m)))
-        panels.append((m, b, *kronrod_panel(rho, m, b)))
+        (v1, v2), (e1, e2) = kronrod_panel(rho, [a, m], [m, b])
+        panels += [(a, m, v1, e1), (m, b, v2, e2)]
     mass = sum(p[2] for p in panels)
     nodes, weights = [], []
     for a, b, _, _ in panels:

@@ -1,10 +1,12 @@
 """Globally adaptive Gauss-Kronrod integration on finite and semi-infinite intervals.
 
 Integrands must be vectorized: f(x) receives a 1-d numpy array of abscissae
-and returns the values elementwise.  Semi-infinite integrals over (0, inf)
-are mapped onto (0, 1) through t = (u/(1-u))**m, where the power m is chosen
-from an optional endpoint-singularity hint so that the transformed integrand
-stays bounded at u = 0.
+and returns the values elementwise.  An integral's seed panels are evaluated
+with one call of f, and both halves of each split with one more.
+Semi-infinite integrals over (0, inf) are mapped onto (0, 1) through
+t = (u/(1-u))**m, where the power m is chosen from an optional
+endpoint-singularity hint so that the transformed integrand stays bounded at
+u = 0.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureConvergenceError
+from .errors import DomainError, QuadratureConvergenceError, integer
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1]
 _XK = np.array([
@@ -37,9 +39,8 @@ _WG = np.array([
     0.417959183673469, 0.381830050505119, 0.279705391489277,
     0.129484966168870,
 ])
-_GAUSS_IDX = np.arange(1, 15, 2)
 
-_EPS50 = 50.0 * np.finfo(float).eps
+_EPS50 = 50.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -51,35 +52,42 @@ class QuadSpec:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0 and self.max_subdivisions >= 1):
-            raise DomainError("QuadSpec requires positive tolerances and >= 1 subdivision")
+        if not (self.abs_tol > 0 and self.rel_tol > 0):
+            raise DomainError("QuadSpec requires positive tolerances")
+        object.__setattr__(self, "max_subdivisions",
+                           integer("max_subdivisions", self.max_subdivisions, 1))
 
 
 DEFAULT_SPEC = QuadSpec()
 
 
-def kronrod_panel(f, a: float, b: float):
-    """Single G7/K15 panel on [a, b].
-
-    Returns (value, err_est).  The error estimate follows the QUADPACK
-    recipe: scaled by the panel's own variation so flat regions are not
-    over-refined.
-    """
-    h = 0.5 * (b - a)
-    x = 0.5 * (a + b) + h * _XK
-    fx = np.asarray(f(x), dtype=float)
-    vk = h * float(_WK @ fx)
-    vg = h * float(_WG @ fx[_GAUSS_IDX])
-    resabs = h * float(_WK @ np.abs(fx))
-    mean = vk / (b - a)
-    resasc = h * float(_WK @ np.abs(fx - mean))
+def _panel_error(vk: float, vg: float, resabs: float, resasc: float) -> float:
+    """QUADPACK's error estimate of one panel: |K15 - G7| scaled by the
+    panel's own variation, so flat regions are not over-refined."""
     d = abs(vk - vg)
-    if resasc != 0.0 and d != 0.0:
-        err = resasc * min(1.0, (200.0 * d / resasc) ** 1.5)
-    else:
-        err = d
-    err = max(err, _EPS50 * resabs)
-    return vk, err
+    err = resasc * min(1.0, (200.0 * d / resasc) ** 1.5) if resasc != 0.0 and d != 0.0 else d
+    return max(err, _EPS50 * resabs)
+
+
+def kronrod_panel(f, a, b):
+    """G7/K15 panels on [a, b], vectorised over panels: a and b are scalars
+    or equal-length 1-d arrays, and f is called once on all their nodes.
+
+    Returns (value, err_est): floats for scalar bounds, lists of floats for
+    array bounds.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    h = 0.5 * (b - a)
+    x = (0.5 * (a + b))[..., None] + h[..., None] * _XK
+    fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    # vecdot takes one dot product per contiguous row: the sums a lone panel forms
+    vk = h * np.vecdot(fx, _WK)
+    gauss = np.ascontiguousarray(fx[..., 1::2])
+    sums = (vk, h * np.vecdot(gauss, _WG), h * np.vecdot(np.abs(fx), _WK),
+            h * np.vecdot(np.abs(fx - (vk / (b - a))[..., None]), _WK))
+    # per panel in Python floats: numpy's power need not round as pow does
+    err = [_panel_error(*v) for v in zip(*(np.ravel(s).tolist() for s in sums))]
+    return vk.tolist(), err if vk.ndim else err[0]
 
 
 def panel_nodes(a: float, b: float):
@@ -93,8 +101,8 @@ def _adaptive(f, breakpoints, spec: QuadSpec):
     total = 0.0
     total_err = 0.0
     count = 0
-    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        v, e = kronrod_panel(f, a, b)
+    lo, hi = breakpoints[:-1], breakpoints[1:]
+    for a, b, v, e in zip(lo, hi, *kronrod_panel(f, lo, hi)):
         total += v
         total_err += e
         count += 1
@@ -113,8 +121,7 @@ def _adaptive(f, breakpoints, spec: QuadSpec):
             # interval at floating point resolution; keep its estimate
             total_err -= e
             continue
-        v1, e1 = kronrod_panel(f, a, m)
-        v2, e2 = kronrod_panel(f, m, b)
+        (v1, v2), (e1, e2) = kronrod_panel(f, [a, m], [m, b])
         total += v1 + v2 - v
         total_err += e1 + e2 - e
         count += 1

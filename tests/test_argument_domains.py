@@ -15,6 +15,7 @@ from ginibre_overlaps import analytic_real as ar
 from ginibre_overlaps import detratio, mc_harness, specfun
 from ginibre_overlaps.ensemble import EnsembleSpec, sample_ginibre, sample_ginibre_batch
 from ginibre_overlaps.errors import DomainError, integer
+from ginibre_overlaps.quadrature import QuadSpec
 
 _SPEC = EnsembleSpec(n=3, beta=2, seed=4)
 _WINDOW = mc_harness.Window(kind=mc_harness.ANNULUS, lo=0.0, hi=100.0)
@@ -59,6 +60,8 @@ _ARGUMENTS = {
     "density_real n": (lambda v: ar.density_real(v, 0.4), 2),
     "density_complex n": (lambda v: ac.density_complex(v, 0.4), 2),
     "log_reg_gamma_q n": (lambda v: specfun.log_reg_gamma_q(v, 0.7), 2),
+    # repr shows whether the stored budget is the int 2 or the float 2.0
+    "QuadSpec max_subdivisions": (lambda v: repr(QuadSpec(max_subdivisions=v)), 2),
 }
 _BAD = [1.5, math.nan, math.inf, "3", None]
 

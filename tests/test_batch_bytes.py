@@ -1,5 +1,6 @@
 """ensemble.BATCH_BYTES: one byte budget bounds every large temporary of a
-campaign and of the truncated-gamma kernel, and changes no result."""
+campaign, of the determinant-ratio oracle and of the truncated-gamma kernel,
+and changes no result."""
 
 import math
 import tracemalloc
@@ -7,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ginibre_overlaps import ensemble, specfun
+from ginibre_overlaps import detratio, ensemble, specfun
 from ginibre_overlaps import mc_harness as mh
 from ginibre_overlaps.ensemble import EnsembleSpec
 
@@ -136,6 +137,57 @@ class TestBitIdentity:
         got = specfun.log_lower_integral(29.0, x, 0.8, c)
         want = [specfun.log_lower_integral(29.0, v, 0.8, c) for v in x.tolist()]
         assert np.array_equal(got, want)
+
+
+@pytest.fixture
+def fresh_streams():
+    """An empty oracle cache before and after, so every sweep draws its matrices."""
+    detratio._stream_moments.cache_clear()
+    yield
+    detratio._stream_moments.cache_clear()
+
+
+class TestOracleSteps:
+    """The oracle samples a chunk in steps that fit in the budget; the moments
+    stay those of the whole chunk, bit for bit."""
+
+    # (n, beta, L, z, p values, samples, chunk): the oracle's beta = 2 stream
+    # over two chunks; some matrices taking the SVD; every matrix taking it
+    CASES = [(4, 2, 2, 0.5 + 0.4j, [0.5, 1.0, 5.0], 3000, 1700),
+             (3, 1, 2, 0.5, [1e-4, 1.0], 2000, 65536),
+             (4, 2, 0, 1e12, [1e-8], 1000, 65536)]
+
+    @pytest.mark.parametrize("budget", [1, 4096])
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_small_budget_gives_the_same_moments(self, case, budget, monkeypatch,
+                                                 fresh_streams):
+        n, beta, L, z, ps, count, chunk = self.CASES[case]
+
+        def sweep():
+            detratio._stream_moments.cache_clear()
+            return detratio.detratio_mc_sweep(n, beta, L, z, ps, count, seed=5, chunk=chunk)
+
+        default = sweep()
+        steps = []
+        sample = detratio.sample_ginibre_batch
+
+        def counting(spec, start, cnt):
+            steps.append(cnt)
+            return sample(spec, start, cnt)
+
+        monkeypatch.setattr(detratio, "sample_ginibre_batch", counting)
+        monkeypatch.setattr(ensemble, "BATCH_BYTES", budget)
+        assert sweep() == default
+        assert sum(steps) == count
+        assert max(steps) == max(1, budget // ((2 + len(ps)) * 8 * beta * n * n))
+
+    @pytest.mark.parametrize("chunk", [65536, 250])
+    def test_peak_at_n60_whatever_the_chunk(self, chunk, fresh_streams):
+        # a 60 x 60 complex matrix is 56 KiB: before the budget the pass held
+        # about four arrays of 1,000 of them (166 MB)
+        peak = _traced_peak(lambda: detratio.detratio_mc_sweep(60, 2, 1, 0.5, [1.0], 1000,
+                                                               chunk=chunk))
+        assert peak <= 3 * ensemble.BATCH_BYTES
 
 
 class TestMemoryBound:

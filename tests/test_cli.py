@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -249,13 +250,20 @@ class TestUsage:
     @pytest.mark.parametrize("argv", [
         ["density", "--ensemble", "complex", "--n", "4", "--grid", "log:1e-1:inf:3"],
         ["analytic", "--ensemble", "complex", "--n", "4", "--abs-z", "0.5",
-         "--t-grid", "log:1e-1:inf:3"]], ids=["density", "analytic"])
+         "--t-grid", "log:1e-1:inf:3"],
+        ["density", "--ensemble", "real", "--n", "3", "--grid", "lin:-inf:1:3"]],
+        ids=["density", "analytic", "lin"])
     def test_infinite_grid_bound_exit_1(self, argv, capsys):
-        # an infinite bound gives inf grid points: no inf,nan rows, an error line
-        assert dispatch(argv) == 1
+        # an infinite bound is rejected before a grid is built: no inf,nan rows,
+        # no numpy RuntimeWarning, and an error line that names the grid
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert dispatch(argv) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         out, err = capsys.readouterr()
         assert out == ""
-        assert "error: " in err and "Traceback" not in err
+        assert "error: grid bounds must be finite" in err and argv[-1] in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
 
     def test_no_command_exit_1(self):
         assert dispatch([]) == 1

@@ -508,12 +508,13 @@ class TestStreamSharing:
 
     @pytest.mark.parametrize("beta,z", [(1, 0.7), (2, 0.5 + 0.4j)])
     def test_exactly_singular_a(self, beta, z, monkeypatch, fresh_streams):
-        # some matrices are G = z I, so A = z I - G = 0 and log|det A| = -inf
+        # every 7th matrix (by its index in the stream, however a sweep batches
+        # its draws) is G = z I, so A = z I - G = 0 and log|det A| = -inf
         sample = detratio.sample_ginibre_batch
 
         def with_z_identity(spec, start, count):
             mats = sample(spec, start, count)
-            mats[::7] = z * np.eye(spec.n) if beta == 2 else z.real * np.eye(spec.n)
+            mats[(-start) % 7::7] = z * np.eye(spec.n) if beta == 2 else z.real * np.eye(spec.n)
             return mats
 
         monkeypatch.setattr(detratio, "sample_ginibre_batch", with_z_identity)

@@ -65,6 +65,24 @@ class TestSampling:
         batch = ens.sample_ginibre_batch(spec, 7, count)
         assert batch.tobytes() == _reference_batch(spec, 7, count).tobytes()
 
+    def test_complex_assembly_is_the_old_division(self):
+        # a beta = 2 stack is written as re and im times fl(1/sqrt(2)); numpy's
+        # (re + 1j im) / sqrt(2) divides by sqrt(2) + 0j, which gives the same
+        # bits for every finite nonzero part
+        rng = np.random.default_rng(11)
+        re = np.concatenate([rng.standard_normal(4000),
+                             [5e-324, -2.2e-308, 1e-160, -3.7, 1e300, -1.7e308]])
+        im = rng.permutation(re)
+        new = np.empty(re.shape, dtype=complex)
+        np.multiply(re, ens._INV_SQRT2, out=new.real)
+        np.multiply(im, ens._INV_SQRT2, out=new.imag)
+        assert new.tobytes() == ((re + 1j * im) / math.sqrt(2.0)).tobytes()
+        for n, count in ((4, 1500), (30, 40)):   # numpy grid and C Philox, several slices
+            spec = ens.EnsembleSpec(n=n, beta=2, seed=3)
+            z = ens._normals(ens._stream(spec, 5, count), 2 * n * n)
+            old = (z[:, :n * n] + 1j * z[:, n * n:]) / math.sqrt(2.0)
+            assert ens.sample_ginibre_batch(spec, 5, count).tobytes() == old.tobytes()
+
     @pytest.mark.parametrize("words", [2, 16, 32, 36, 64, 66, 256, 258, 1800])
     @pytest.mark.parametrize("philox", [ens._philox_grid, ens._philox_c])
     def test_philox_words(self, philox, words):

@@ -8,6 +8,7 @@ from ginibre_overlaps.quadrature import (
     QuadSpec,
     integrate_finite,
     integrate_semi_infinite,
+    kronrod_panel,
 )
 
 INT_EXP_HALF_SQ_01 = 0.855624391892148803  # int_0^1 e^{-u^2/2} du
@@ -93,3 +94,26 @@ class TestConvergenceFailure:
             QuadSpec(abs_tol=0.0)
         with pytest.raises(DomainError):
             QuadSpec(max_subdivisions=0)
+
+
+class TestBatchedPanels:
+    """kronrod_panel over several panels gives the bits of each lone panel, and
+    an integral calls f once for its seed panels and once per split."""
+
+    def test_panels_equal_lone_panels(self):
+        f = lambda x: np.exp(-x) * np.sin(3.0 * x) ** 2
+        a = [0.0, 0.3, 1.7, 2.0, 4.5]
+        b = [0.3, 1.7, 2.0, 4.5, 9.0]
+        vals, errs = kronrod_panel(f, a, b)
+        assert [kronrod_panel(f, lo, hi) for lo, hi in zip(a, b)] == list(zip(vals, errs))
+
+    def test_one_call_for_the_seeds_and_one_per_split(self):
+        sizes = []
+
+        def f(t):
+            sizes.append(t.size)
+            return np.exp(-t) * np.cos(t) ** 2
+
+        integrate_semi_infinite(f)
+        assert sizes[0] == 7 * 15   # the seven seed panels of the (0, 1) map
+        assert len(sizes) > 1 and set(sizes[1:]) == {2 * 15}
