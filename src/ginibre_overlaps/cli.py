@@ -20,7 +20,8 @@ import numpy as np
 
 from . import __version__, analytic_complex, analytic_real, detratio, mc_harness
 from .ensemble import EnsembleSpec
-from .errors import DomainError, EmptyWindowError, InsufficientSamplesError
+from .errors import (DomainError, EmptyWindowError, InsufficientSamplesError,
+                     QuadratureConvergenceError)
 from .mc_harness import ANNULUS, REAL_INTERVAL, Window
 
 
@@ -387,7 +388,8 @@ def dispatch(argv) -> int:
         return 1
     try:
         return _HANDLERS[args.command](args)
-    except (DomainError, EmptyWindowError, InsufficientSamplesError, OSError) as exc:
+    except (DomainError, EmptyWindowError, InsufficientSamplesError,
+            QuadratureConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -176,17 +176,16 @@ def _stream_moments(n: int, beta: int, z, p_values: tuple, n_samples: int, seed:
         for s in range(0, cnt, step):
             e = min(s + step, cnt)
             _sample_log_values(spec, z, lo + s, shifts, buf, log_abs_det[s:e], halves[:, s:e])
+        vals = np.empty(cnt)   # logs, values and squared deviations, in turn
         for ell in _L_OF_BETA[beta]:
             # L = 0 keeps a literal 0.0 term, so an exactly singular A
             # (log|det A| = -inf) cannot make 0 * -inf
             num = beta * ell * log_abs_det if ell else 0.0
             for i, h in enumerate(halves):
-                logs = num - h
-                top = float(logs.max())
-                vals = np.exp(logs - top)
-                mean = float(vals.mean())
-                acc[ell][i] = _merge_moments(acc[ell][i], (vals.size, top, mean,
-                                                           float(((vals - mean) ** 2).sum())))
+                top = float(np.subtract(num, h, out=vals).max())
+                mean = float(np.exp(np.subtract(vals, top, out=vals), out=vals).mean())
+                m2 = float(np.square(np.subtract(vals, mean, out=vals), out=vals).sum())
+                acc[ell][i] = _merge_moments(acc[ell][i], (cnt, top, mean, m2))
     return {ell: tuple(moments) for ell, moments in acc.items()}
 
 

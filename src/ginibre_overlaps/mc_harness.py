@@ -42,7 +42,7 @@ from .errors import DomainError, EmptyWindowError, InsufficientSamplesError, int
 # mc_harness.cdf_inner_calls are the spans of this module's binding of it, and
 # read 0 now that the t-integral is in closed form.  Without the binding both
 # metrics vanish from the traced result.
-from .quadrature import integrate_finite, kronrod_panel, panel_nodes  # noqa: F401
+from .quadrature import QuadSpec, _adaptive, integrate_finite, panel_nodes  # noqa: F401
 
 REAL_INTERVAL = "real-interval"
 ANNULUS = "annulus"
@@ -50,6 +50,9 @@ ANNULUS = "annulus"
 #: one-sided Kolmogorov critical constant at alpha = 0.001:
 #: c(alpha) = sqrt(-ln(alpha/2)/2) = 1.9495 for the D <= c/sqrt(n) test
 KS_ALPHA = 1e-3
+
+#: tolerances and panel budget of the window-mass integral (_outer_nodes)
+_WINDOW_SPEC = QuadSpec(abs_tol=1e-15, rel_tol=1e-10, max_subdivisions=64)
 
 
 def ks_critical(alpha: float = KS_ALPHA) -> float:
@@ -249,11 +252,14 @@ def run_campaign(spec: EnsembleSpec, n_matrices: int, window: Window, *,
 # ---------------------------------------------------------------------------
 
 def _outer_nodes(window: Window, spec: EnsembleSpec):
-    """Quadrature nodes/weights over the window for the eigenvalue integral.
+    """Quadrature nodes (ascending), weights and mass of the window for the
+    eigenvalue integral.
 
-    Panels are refined on the density integrand until its window mass is
-    resolved to ~1e-10 relative; the same panels then serve every CDF
-    component.  Annulus weights absorb the 2 pi r radial measure.
+    quadrature._adaptive refines the density from four equal seed panels
+    until the window mass meets _WINDOW_SPEC (1e-10 relative, 1e-15 absolute)
+    within 64 panels, or raises QuadratureConvergenceError with the value and
+    error reached; the final panels serve every CDF component.  Annulus
+    weights absorb the 2 pi r radial measure.
     """
     if window.kind == REAL_INTERVAL:
         def rho(x):
@@ -262,27 +268,12 @@ def _outer_nodes(window: Window, spec: EnsembleSpec):
         def rho(r):
             return 2.0 * math.pi * r * analytic_complex.density_complex(spec.n, r * r)
 
-    pts = np.linspace(window.lo, window.hi, 5).tolist()
-    panels = list(zip(pts[:-1], pts[1:], *kronrod_panel(rho, pts[:-1], pts[1:])))
-    while len(panels) < 64:
-        total = sum(p[2] for p in panels)
-        err = sum(p[3] for p in panels)
-        if err <= 1e-10 * abs(total) + 1e-15:
-            break
-        worst = max(range(len(panels)), key=lambda i: panels[i][3])
-        a, b, _, _ = panels.pop(worst)
-        m = 0.5 * (a + b)
-        (v1, v2), (e1, e2) = kronrod_panel(rho, [a, m], [m, b])
-        panels += [(a, m, v1, e1), (m, b, v2, e2)]
-    mass = sum(p[2] for p in panels)
-    nodes, weights = [], []
-    for a, b, _, _ in panels:
-        x, wt = panel_nodes(a, b)
-        if window.kind == ANNULUS:
-            wt = wt * (2.0 * math.pi * x)
-        nodes.append(x)
-        weights.append(wt)
-    return np.concatenate(nodes), np.concatenate(weights), mass
+    mass, _, panels = _adaptive(rho, np.linspace(window.lo, window.hi, 5).tolist(),
+                                _WINDOW_SPEC)
+    nodes, weights = panel_nodes(panels[:, 0], panels[:, 1])
+    if window.kind == ANNULUS:
+        weights = weights * (2.0 * math.pi * nodes)
+    return nodes.ravel(), weights.ravel(), mass
 
 
 def analytic_conditional_cdf(spec: EnsembleSpec, window: Window, t_grid) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Globally adaptive Gauss-Kronrod integration on finite and semi-infinite intervals.
 
+Every integral of the package, the eigenvalue window's included, goes through
+one driver (_adaptive): one worst-panel-first refinement, one QuadSpec rule,
+and QuadratureConvergenceError once the subdivision budget runs out.
 Integrands must be vectorized: f(x) receives a 1-d numpy array of abscissae
 and returns the values elementwise.  An integral's seed panels are evaluated
 with one call of f, and both halves of each split with one more.
@@ -78,7 +81,7 @@ def kronrod_panel(f, a, b):
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     h = 0.5 * (b - a)
-    x = (0.5 * (a + b))[..., None] + h[..., None] * _XK
+    x, _ = panel_nodes(a, b)
     fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
     # vecdot takes one dot product per contiguous row: the sums a lone panel forms
     vk = h * np.vecdot(fx, _WK)
@@ -90,14 +93,19 @@ def kronrod_panel(f, a, b):
     return vk.tolist(), err if vk.ndim else err[0]
 
 
-def panel_nodes(a: float, b: float):
-    """Kronrod abscissae and weights on [a, b] (for fixed-rule composites)."""
+def panel_nodes(a, b):
+    """Kronrod abscissae and weights on [a, b], vectorised over panels like
+    kronrod_panel: one row of 15 per panel for array bounds."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     h = 0.5 * (b - a)
-    return 0.5 * (a + b) + h * _XK, h * _WK
+    return (0.5 * (a + b))[..., None] + h[..., None] * _XK, h[..., None] * _WK
 
 
 def _adaptive(f, breakpoints, spec: QuadSpec):
-    heap = []
+    """(value, err_est, panels) of f over the breakpoints' span: panels is the
+    (k, 2) array of final [a, b], sorted by a, those kept at floating-point
+    resolution included."""
+    heap, kept = [], []
     total = 0.0
     total_err = 0.0
     count = 0
@@ -120,6 +128,7 @@ def _adaptive(f, breakpoints, spec: QuadSpec):
         if m <= a or m >= b:
             # interval at floating point resolution; keep its estimate
             total_err -= e
+            kept.append((a, b))
             continue
         (v1, v2), (e1, e2) = kronrod_panel(f, [a, m], [m, b])
         total += v1 + v2 - v
@@ -127,14 +136,14 @@ def _adaptive(f, breakpoints, spec: QuadSpec):
         count += 1
         heapq.heappush(heap, (-e1, count, a, m, v1, e1))
         heapq.heappush(heap, (-e2, 2 * count + 1, m, b, v2, e2))
-    return total, total_err
+    return total, total_err, np.array(sorted(kept + [(a, b) for _, _, a, b, _, _ in heap]))
 
 
 def integrate_finite(f, a: float, b: float, spec: QuadSpec = DEFAULT_SPEC):
     """Integrate a vectorized f over [a, b].  Returns (value, err_est)."""
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError(f"integrate_finite requires finite a < b, got [{a}, {b}]")
-    return _adaptive(f, [a, b], spec)
+    return _adaptive(f, [a, b], spec)[:2]
 
 
 def integrate_semi_infinite(f, spec: QuadSpec = DEFAULT_SPEC,
@@ -161,12 +170,8 @@ def integrate_semi_infinite(f, spec: QuadSpec = DEFAULT_SPEC,
             return out
         uu = u[ok]
         r = uu / (1.0 - uu)
-        if m == 1:
-            t = r
-            jac = 1.0 / (1.0 - uu) ** 2
-        else:
-            t = r**m
-            jac = m * r ** (m - 1) / (1.0 - uu) ** 2
+        t = r**m
+        jac = m * r ** (m - 1) / (1.0 - uu) ** 2
         vals = np.asarray(f(t), dtype=float) * jac
         vals[~np.isfinite(vals)] = 0.0
         out[ok] = vals
@@ -174,4 +179,4 @@ def integrate_semi_infinite(f, spec: QuadSpec = DEFAULT_SPEC,
 
     # seed panels biased toward u -> 1 where the map compresses the tail
     seeds = [0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0]
-    return _adaptive(g, seeds, spec)
+    return _adaptive(g, seeds, spec)[:2]

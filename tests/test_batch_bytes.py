@@ -189,6 +189,15 @@ class TestOracleSteps:
                                                                chunk=chunk))
         assert peak <= 3 * ensemble.BATCH_BYTES
 
+    def test_moment_pass_reuses_one_buffer(self, fresh_streams):
+        # one chunk of 65,536 matrices: the chunk's 1 + 3 log arrays, the L = 1
+        # numerator and one buffer that takes each pass's logs, values and
+        # squared deviations in turn; three temporaries per pass before (5.3 MiB)
+        chunk_array = 8 * 65536
+        peak = _traced_peak(lambda: detratio.detratio_mc_sweep(
+            4, 2, 1, 0.5 + 0.4j, [0.5, 1.0, 5.0], 65536))
+        assert peak <= 9 * chunk_array
+
 
 class TestMemoryBound:
     """tracemalloc peaks (numpy's buffers, not process RSS), in units of the

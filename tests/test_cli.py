@@ -144,6 +144,13 @@ class TestDetratioCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_unconverged_closed_form_exit_1(self, capsys):
+        # the L = 0 ratio at p = 1e-12 runs out of subdivisions
+        assert dispatch(["detratio", "--beta", "2", "--L", "0", "--n", "4",
+                         "--p", "1e-12"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no convergence") and "Traceback" not in err
+
 
 class TestMetadata:
     def test_verify_roundtrip(self, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ginibre_overlaps import analytic_complex
+from ginibre_overlaps import analytic_complex, analytic_real
 from ginibre_overlaps import mc_harness as mh
 from ginibre_overlaps.ensemble import (
     EnsembleSpec,
@@ -18,6 +18,7 @@ from ginibre_overlaps.errors import (
     DomainError,
     EmptyWindowError,
     InsufficientSamplesError,
+    QuadratureConvergenceError,
 )
 from ginibre_overlaps.quadrature import QuadSpec, integrate_finite
 
@@ -338,6 +339,47 @@ class TestConditionalCdf:
             mh.analytic_conditional_cdf(EnsembleSpec(n=4, beta=1, seed=0), annulus, [1.0])
         with pytest.raises(DomainError):
             mh.analytic_conditional_cdf(EnsembleSpec(n=4, beta=2, seed=0), interval, [1.0])
+
+
+class TestWindowQuadrature:
+    """_outer_nodes is one call of quadrature._adaptive: at n = 200 these two
+    windows refine past the four seed panels."""
+
+    # (beta, kind, lo, hi in units of sqrt(n), final panels)
+    WINDOWS = [(1, mh.REAL_INTERVAL, -3.0, 3.0, 18), (2, mh.ANNULUS, 0.0, 1.4, 8)]
+
+    @staticmethod
+    def _window(beta, kind, lo, hi):
+        n = 200
+        spec = EnsembleSpec(n=n, beta=beta, seed=0)
+        win = mh.Window(kind=kind, lo=lo * math.sqrt(n), hi=hi * math.sqrt(n))
+        if beta == 1:
+            def rho(x):
+                return analytic_real.density_real(n, x)
+        else:
+            def rho(r):
+                return 2.0 * math.pi * r * analytic_complex.density_complex(n, r * r)
+        return spec, win, rho
+
+    @pytest.mark.parametrize("beta, kind, lo, hi, panels", WINDOWS, ids=["real", "annulus"])
+    def test_refined_window(self, beta, kind, lo, hi, panels):
+        spec, win, rho = self._window(beta, kind, lo, hi)
+        nodes, weights, mass = mh._outer_nodes(win, spec)
+        assert nodes.size == weights.size == 15 * panels
+        assert np.all(np.diff(nodes) > 0)
+        assert win.lo <= nodes[0] and nodes[-1] <= win.hi
+        assert np.all(weights > 0.0)
+        ref, _ = integrate_finite(rho, win.lo, win.hi, QuadSpec(1e-15, 1e-13, 4000))
+        assert mass == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+    def test_unresolved_window_raises(self, monkeypatch):
+        spec, win, rho = self._window(*self.WINDOWS[0][:4])
+        monkeypatch.setattr(mh, "_WINDOW_SPEC", QuadSpec(1e-15, 1e-10, 5))
+        with pytest.raises(QuadratureConvergenceError) as info:
+            mh._outer_nodes(win, spec)
+        # the estimate reached and its error, which covers the true miss
+        ref, _ = integrate_finite(rho, win.lo, win.hi)
+        assert 1e-10 * ref < abs(info.value.value - ref) <= info.value.err_est
 
 
 class TestKsCompare:

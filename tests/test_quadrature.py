@@ -5,7 +5,9 @@ import pytest
 
 from ginibre_overlaps.errors import DomainError, QuadratureConvergenceError
 from ginibre_overlaps.quadrature import (
+    DEFAULT_SPEC,
     QuadSpec,
+    _adaptive,
     integrate_finite,
     integrate_semi_infinite,
     kronrod_panel,
@@ -117,3 +119,35 @@ class TestBatchedPanels:
         integrate_semi_infinite(f)
         assert sizes[0] == 7 * 15   # the seven seed panels of the (0, 1) map
         assert len(sizes) > 1 and set(sizes[1:]) == {2 * 15}
+
+
+class TestFinalPanels:
+    """_adaptive returns its final panels, sorted, tiling its breakpoints."""
+
+    @staticmethod
+    def _assert_tiles(panels, breakpoints):
+        assert panels[0, 0] == breakpoints[0] and panels[-1, 1] == breakpoints[-1]
+        assert np.array_equal(panels[1:, 0], panels[:-1, 1])   # no gap, no overlap
+        assert np.all(panels[:, 0] < panels[:, 1])
+
+    def test_refined_panels_tile_the_breakpoints(self):
+        f = lambda x: np.exp(-np.abs(x - 0.123456) * 500.0)
+        breakpoints = [0.0, 0.5, 1.0]
+        val, err, panels = _adaptive(f, breakpoints, DEFAULT_SPEC)
+        assert len(panels) > 10
+        self._assert_tiles(panels, breakpoints)
+        assert val == pytest.approx(sum(kronrod_panel(f, panels[:, 0], panels[:, 1])[0]),
+                                    rel=1e-14)
+
+    def test_panel_at_floating_point_resolution_is_kept(self):
+        # the middle panel [1, 1 + ulp] cannot split: its nodes round to its
+        # ends, where f takes +-1/h, so its K15 - G7 error leads the heap
+        ulp = 2.0 ** -52
+        f = lambda x: np.where(x == 1.0, 2.0 / ulp, np.where(x == 1.0 + ulp, -2.0 / ulp, 1.0))
+        breakpoints = [0.0, 1.0, 1.0 + ulp, 2.0]
+        _, mid_err = kronrod_panel(f, 1.0, 1.0 + ulp)
+        val, err, panels = _adaptive(f, breakpoints, DEFAULT_SPEC)
+        # the tolerance is met only with the middle panel's estimate dropped
+        assert mid_err > DEFAULT_SPEC.rel_tol * abs(val) >= err
+        assert panels.tolist() == [[0.0, 1.0], [1.0, 1.0 + ulp], [1.0 + ulp, 2.0]]
+        self._assert_tiles(panels, breakpoints)
