@@ -68,25 +68,28 @@ def _parse_window(text: str, n: int, units: str) -> Window:
     return Window(kind=kind, lo=lo, hi=hi)
 
 
+def _canonical(obj) -> str:
+    """Compact, key-sorted JSON: the form the config hash is taken over."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _config_sha256(body: dict) -> str:
+    return hashlib.sha256(_canonical(body).encode()).hexdigest()
+
+
 def _provenance(command: str, params: dict, seed: int | None) -> dict:
     body = {"command": command, "params": params, "seed": seed, "version": __version__}
-    digest = hashlib.sha256(
-        json.dumps(body, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
-    return {**body, "config_sha256": digest}
+    return {**body, "config_sha256": _config_sha256(body)}
 
 
 def _emit(args, rows: list[dict], provenance: dict, columns: list[str]) -> None:
     if args.format == "json":
-        payload = {"provenance": provenance, "data": rows}
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        lines = ["# provenance: " + json.dumps(provenance, sort_keys=True, separators=(",", ":"))]
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(row[c]) for c in columns))
-        text = "\n".join(lines) + "\n"
-    _write(args, text)
-    if args.out and args.emit_plot and args.format == "csv":
+        return _write_json(args, {"provenance": provenance, "data": rows})
+    lines = ["# provenance: " + _canonical(provenance), ",".join(columns)]
+    # str of a float is its shortest round-trip repr
+    lines += [",".join(str(row[c]) for c in columns) for row in rows]
+    _write(args, "\n".join(lines) + "\n")
+    if args.out and args.emit_plot:
         _write_plot_script(args.out, columns)
 
 
@@ -98,10 +101,8 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _write_json(args, payload: dict) -> None:
+    _write(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _write_plot_script(out_path: str, columns: list[str]) -> None:
@@ -183,8 +184,7 @@ def _cmd_sample(args) -> int:
                                   "matrices": args.matrices, "window": args.window,
                                   "window_units": args.window_units}, args.seed)
     if args.format == "json":
-        payload = {"provenance": prov, "histogram": _hist_payload(hist)}
-        _write(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_json(args, {"provenance": prov, "histogram": _hist_payload(hist)})
         return 0
     rows = [{"bin_lo": float(hist.bin_edges[i]), "bin_hi": float(hist.bin_edges[i + 1]),
              "count": int(c)} for i, c in enumerate(hist.counts)]
@@ -194,7 +194,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_compare(args) -> int:
     spec, window, hist = _run_campaign(args)
-    analytic_n = args.analytic_n if args.analytic_n else args.n
+    analytic_n = args.n if args.analytic_n is None else args.analytic_n
     law_spec = EnsembleSpec(n=analytic_n, beta=args.beta, seed=args.seed)
     cdf = mc_harness.analytic_conditional_cdf(law_spec, window, hist.bin_edges)
     report = mc_harness.ks_compare(hist, cdf)
@@ -202,18 +202,14 @@ def _cmd_compare(args) -> int:
                                    "analytic_n": analytic_n,
                                    "matrices": args.matrices, "window": args.window,
                                    "window_units": args.window_units}, args.seed)
-    payload = {
-        "provenance": prov,
-        "report": {
-            "statistic_name": report.statistic_name,
-            "statistic_value": report.statistic_value,
-            "threshold": report.threshold,
-            "sample_size": report.sample_size,
-            "pass": report.passed,
-            "metadata": {k: v for k, v in report.metadata.items()},
-        },
-    }
-    _write(args, json.dumps(payload, sort_keys=True, indent=2, default=str) + "\n")
+    _write_json(args, {"provenance": prov, "report": {
+        "statistic_name": report.statistic_name,
+        "statistic_value": report.statistic_value,
+        "threshold": report.threshold,
+        "sample_size": report.sample_size,
+        "pass": report.passed,
+        "metadata": report.metadata,
+    }})
     return 0 if report.passed else 2
 
 
@@ -287,8 +283,7 @@ def _verify_metadata(path: str) -> int:
         print(f"error: cannot read a provenance block from {path} "
               f"({type(exc).__name__}: {exc})", file=sys.stderr)
         return 1
-    digest = hashlib.sha256(
-        json.dumps(prov, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    digest = _config_sha256(prov)
     if digest == claimed:
         print(f"ok: {path} config hash verified")
         return 0

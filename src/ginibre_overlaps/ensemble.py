@@ -23,14 +23,12 @@ variates; beta = 2 draws 2 n^2 variates, the first n^2 forming the real
 part and the rest the imaginary part, scaled by 1/sqrt(2) so that
 E|G_jk|^2 = 1.
 
-Overlaps are computed by two routes.  The reference takes right
-eigenvectors from the dense nonsymmetric eigendecomposition and left
-eigenvectors as rows of the inverse eigenvector matrix (_overlaps_core).
-The kernel, like the paper, conditions on one eigenvalue at a time: given
+Overlaps, like the paper's, condition on one eigenvalue at a time: given
 an eigenvalue lam of G (from the eigenvalues alone), one bordered solve
 yields its right and left eigenvectors, and t is the squared norm of the
-partial Schur coupling vector (_overlaps_bordered).  Campaigns and
-overlap_schur_real use the kernel.
+partial Schur coupling vector (_overlaps_bordered).  Campaigns use this
+kernel, and overlap_schur_real is its entry point for one matrix.  The
+eig/inv reference that tests check it against lives in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from .errors import DegenerateSampleError, DomainError, integer
 
 #: reject a matrix when any self-overlap exceeds this (near-degenerate spectrum)
 OVERLAP_REJECT_THRESHOLD = 1e12
-#: numerical floor for t = O_aa - 1 >= 0 (Cauchy-Schwarz)
+#: floor for t = O_aa - 1 >= 0 in _overlaps_core, its only reader: moves with it after the re-base
 T_NEGATIVE_TOLERANCE = 1e-10
 #: eigen-equation residual bound, relative to ||G||
 RESIDUAL_TOLERANCE = 1e-8
@@ -74,10 +72,6 @@ _MASK64 = 2**64 - 1
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
-REAL_LINE = "real-line"
-COMPLEX_PLANE = "complex"
-
-
 @dataclass(frozen=True)
 class EnsembleSpec:
     """A sampling campaign: matrix size, Dyson index, and RNG seed."""
@@ -90,17 +84,6 @@ class EnsembleSpec:
         # each is stored back as a plain int, so 2.0 and np.int64(2) act as 2
         for name, lo, hi in (("n", 1, math.inf), ("beta", 1, 2), ("seed", 0, 2**64 - 1)):
             object.__setattr__(self, name, integer(name, getattr(self, name), lo, hi))
-
-
-@dataclass
-class OverlapSample:
-    """One (eigenvalue, overlap) pair harvested from a sampled matrix."""
-
-    eigenvalue: complex
-    t: float
-    kind: str
-    matrix_index: int
-    residual: float
 
 
 def default_real_tolerance(n: int) -> float:
@@ -224,7 +207,8 @@ def sample_ginibre_batch(spec: EnsembleSpec, start: int, count: int) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 def _overlaps_core(mats: np.ndarray):
-    """Batched eigendecomposition + overlaps.
+    """Batched eig/inv overlaps: the tests' reference, hooked by perfbench until the
+    benchmark re-base, after which it moves to tests/reference.py.
 
     Returns (eigenvalues, t, residuals, ok) where ok flags matrices whose
     spectrum is usable (finite, t >= -tol, overlaps below the degeneracy
@@ -343,82 +327,3 @@ def overlap_schur_real(g: np.ndarray, lam: float) -> float:
     if not ok[0]:
         raise DomainError(f"{lam} is not a simple real eigenvalue of g")
     return float(t[0])
-
-
-def overlaps_biorthogonal(g: np.ndarray, *, matrix_index: int = 0,
-                          tol_real: float | None = None) -> list[OverlapSample]:
-    """One OverlapSample per eigenvalue of the square matrix g.
-
-    Raises DegenerateSampleError when the spectrum is numerically too close
-    to degenerate for the overlaps to be trustworthy; callers count and
-    discard such matrices.
-    """
-    g = np.asarray(g)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise DomainError("overlaps_biorthogonal expects a square matrix")
-    n = g.shape[0]
-    if tol_real is None:
-        tol_real = default_real_tolerance(n)
-    is_real_matrix = not np.iscomplexobj(g)
-    w, t, resid, ok = _overlaps_core(g[None, ...])
-    if not ok[0]:
-        raise DegenerateSampleError("spectrum too close to degenerate for reliable overlaps")
-    real = near_real(w[0], tol_real) & is_real_matrix
-    samples = []
-    for k in range(n):
-        kind = REAL_LINE if real[k] else COMPLEX_PLANE
-        samples.append(OverlapSample(eigenvalue=complex(w[0, k]), t=float(t[0, k]), kind=kind,
-                                     matrix_index=matrix_index, residual=float(resid[0, k])))
-    return samples
-
-
-def overlap_matrix_full(g: np.ndarray):
-    """Eigenvalues and the full overlap matrix O_ab (debug/verification mode).
-
-    O_ab = (x_La* x_Lb)(x_Rb* x_Ra); rows sum to 1 by completeness of the
-    bi-orthogonal system, which bounds the inversion error directly.
-    """
-    g = np.asarray(g)
-    w, v = np.linalg.eig(g)
-    left = np.linalg.inv(v)
-    o = (left @ left.conj().T) * (v.conj().T @ v).T
-    return w, o
-
-
-# ---------------------------------------------------------------------------
-# classification
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ClassifiedSamples:
-    """Samples split by eigenvalue kind, with bookkeeping counts."""
-
-    real_line: list
-    complex_plane: list
-    n_near_real_flagged: int
-
-
-def classify_eigenvalues(samples, tol_real: float, beta: int = 1) -> ClassifiedSamples:
-    """Assign kinds and partition samples.
-
-    beta = 1: eigenvalues with |Im z| <= tol_real are real-line (their exact
-    counterparts are exactly real); the rest are complex and occur in
-    conjugate pairs, each member kept as its own sample.
-    beta = 2: the real axis has measure zero, so every sample is complex;
-    near-real ones are only counted.
-    """
-    if tol_real <= 0.0:
-        raise DomainError("tol_real must be positive")
-    real_line, complex_plane, flagged = [], [], 0
-    for s in samples:
-        real = near_real(s.eigenvalue, tol_real)
-        if beta == 1 and real:
-            s.kind = REAL_LINE
-            real_line.append(s)
-        else:
-            if real:
-                flagged += 1
-            s.kind = COMPLEX_PLANE
-            complex_plane.append(s)
-    return ClassifiedSamples(real_line=real_line, complex_plane=complex_plane,
-                             n_near_real_flagged=flagged)

@@ -40,8 +40,8 @@ from .ensemble import (
 from .errors import DomainError, EmptyWindowError, InsufficientSamplesError, integer
 # integrate_finite is unused here: the benchmark's mc_harness.cdf_inner_s and
 # mc_harness.cdf_inner_calls are the spans of this module's binding of it, and
-# read 0 now that the t-integral is in closed form.  Without the binding both
-# metrics vanish from the traced result.
+# read 0 now that the t-integral is in closed form.  The binding goes after the
+# benchmark re-base retires both metrics; without it they vanish today.
 from .quadrature import QuadSpec, _adaptive, integrate_finite, panel_nodes  # noqa: F401
 
 REAL_INTERVAL = "real-interval"
@@ -321,7 +321,7 @@ def ks_compare(hist: ConditionedHistogram, cdf, *, alpha: float = KS_ALPHA) -> C
 
 def tail_exponent(hist: ConditionedHistogram, t_min: float, *, min_tail_count: int = 30):
     """Least-squares slope of log survival vs log t above t_min, with its
-    standard error.  Needs >= 5 populated bins above t_min.
+    standard error.  Needs >= 5 populated bins above t_min and >= 3 edges kept.
 
     Edges with fewer than min_tail_count samples remaining above them are
     excluded: the log of a survival estimate based on a handful of samples
@@ -330,9 +330,10 @@ def tail_exponent(hist: ConditionedHistogram, t_min: float, *, min_tail_count: i
     edges = hist.bin_edges
     surv = hist.survival_at_edges()
     populated = (edges[:-1] > t_min) & (hist.counts > 0)
-    if int(populated.sum()) < 5:
-        raise InsufficientSamplesError("need >= 5 populated bins above t_min for a tail fit")
     use = (edges > t_min) & (surv * hist.n_samples >= min_tail_count)
+    if int(populated.sum()) < 5 or int(use.sum()) < 3:
+        raise InsufficientSamplesError("a tail fit needs >= 5 populated bins above t_min "
+                                       "and >= 3 edges with min_tail_count samples above")
     x = np.log(edges[use])
     y = np.log(surv[use])
     m = x.size
@@ -341,5 +342,5 @@ def tail_exponent(hist: ConditionedHistogram, t_min: float, *, min_tail_count: i
     slope = float(((x - xbar) * (y - y.mean())).sum() / sxx)
     intercept = float(y.mean() - slope * xbar)
     resid = y - (intercept + slope * x)
-    s2 = float((resid ** 2).sum() / max(m - 2, 1))
+    s2 = float((resid ** 2).sum() / (m - 2))
     return slope, math.sqrt(s2 / sxx)

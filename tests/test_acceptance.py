@@ -22,14 +22,13 @@ from ginibre_overlaps import (
 )
 from ginibre_overlaps.ensemble import (
     EnsembleSpec,
-    overlap_matrix_full,
     overlap_schur_real,
-    overlaps_biorthogonal,
     sample_ginibre,
     sample_ginibre_batch,
 )
 from ginibre_overlaps.mc_harness import ANNULUS, REAL_INTERVAL, Window
 from ginibre_overlaps.quadrature import QuadSpec, integrate_semi_infinite
+from reference import overlap_matrix_full, overlaps_biorthogonal
 
 TIGHT = QuadSpec(abs_tol=1e-15, rel_tol=1e-11, max_subdivisions=4000)
 
@@ -52,20 +51,21 @@ def real_bulk_hist():
     spec = EnsembleSpec(n=6, beta=1, seed=7)
     half = 0.5 * math.sqrt(6.0)
     win = Window(kind=REAL_INTERVAL, lo=-half, hi=half)
-    return spec, win, mh.run_campaign(spec, 200_000, win, chunk=8192)
+    return spec, win, mh.run_campaign(spec, 200_000, win, chunk=8192, threads=2)
 
 
 @pytest.fixture(scope="module")
 def complex_bulk_hist():
     spec = EnsembleSpec(n=10, beta=2, seed=11)
     win = Window(kind=ANNULUS, lo=0.0, hi=0.5 * math.sqrt(10.0))
-    return spec, win, mh.run_campaign(spec, 10_000, win, chunk=8192)
+    return spec, win, mh.run_campaign(spec, 10_000, win, chunk=8192, threads=2)
 
 
 @pytest.fixture(scope="module")
 def complex_tail_hist(complex_bulk_hist):
     spec, win, head = complex_bulk_hist
-    more = mh.run_campaign(spec, 190_000, win, start_index=10_000, chunk=8192)
+    more = mh.run_campaign(spec, 190_000, win, start_index=10_000, chunk=8192,
+                           threads=2)
     return spec, win, head.merge(more)
 
 

