@@ -17,13 +17,14 @@ integer polynomials once per N and evaluates them as positive log-sums,
 which removes the catastrophic cancellation the naive gamma-product form
 suffers near a ~ N, at every N, with no extended precision needed.
 
-Under tau = t/(1+t) its integral over t is one truncated gamma integral
-with nonnegative weights on powers of 1 - tau (:func:`jpd_complex_cumulative`),
-a sum of positive terms; over all t it gives back the mean eigenvalue
-density (1/pi) e^{-a} sum_{k<N} a^k/k!.  Bulk
-(z = sqrt(N) w, t = N s) and edge (|z| = sqrt(N) + delta, t = sqrt(N) sigma)
-limits are in closed form, and the perturbation-sensitivity density is the
-Gaussian-kernel transform of P.
+Under tau = t/(1+t) it is one tau-form (_tau_form): e^{top+a}/pi
+tau^{N-2} e^{-a tau} (1-tau)^2 [g1 (1-tau) + g2 (1-tau)^2 + g3 (1-tau)^3]
+with nonnegative weights, which the density, its integral over t
+(:func:`jpd_complex_cumulative`) and the L = 2 determinant ratio read;
+over all t it gives back the mean eigenvalue density
+(1/pi) e^{-a} sum_{k<N} a^k/k!.  Bulk (z = sqrt(N) w, t = N s) and edge
+(|z| = sqrt(N) + delta, t = sqrt(N) sigma) limits are in closed form, and
+the perturbation-sensitivity density is the Gaussian-kernel transform of P.
 """
 
 from __future__ import annotations
@@ -207,42 +208,39 @@ def _bracket(n: int, z_abs_sq: float):
     return n, a, top, math.exp(l3 - top), a * math.exp(l4 - top), a * a * math.exp(l1 - top)
 
 
+def _tau_form(n: int, z_abs_sq: float):
+    """(log_pref, s, x, c): P(t, z) = e^{log_pref + specfun.log_tau_form(s, x, c, t)}
+    at order n >= 2, with x = a = |z|^2 and c = (0, g1, g2, g3) from _bracket."""
+    n, a, top, g1, g2, g3 = _bracket(n, z_abs_sq)
+    return top + a - math.log(math.pi), n - 1, a, (0.0, g1, g2, g3)
+
+
 def jpd_complex(n: int, t, z_abs_sq: float):
     """Joint density P(t, z) of self-overlap and eigenvalue, n >= 2.
 
     t > 0 may be an array; z enters only through |z|^2 >= 0 (scalar).
     """
-    n, a, top, g1, g2, g3 = _bracket(n, z_abs_sq)
+    log_pref, s, x, c = _tau_form(n, z_abs_sq)
     scalar = np.isscalar(t)
-    tb = _as_t(t)
-    om = 1.0 / (1.0 + tb)
-    bracket = g1 + g2 * om + g3 * om * om
-    log_tau = np.log(tb) - np.log1p(tb)
-    with np.errstate(divide="ignore"):
-        logp = (-math.log(math.pi) + a * om + top
-                + (n - 2) * log_tau - 3.0 * np.log1p(tb) + np.log(bracket))
-    out = np.exp(logp)
-    return float(out[()]) if scalar else out
+    out = np.exp(log_pref + specfun.log_tau_form(s, x, c, _as_t(t)))
+    return float(out) if scalar else out
 
 
 def jpd_complex_cumulative(n: int, t, z_abs_sq):
     """int_0^t P(u, z) du for t > 0 and |z|^2 >= 0, which broadcast; n >= 2.
 
-    Under tau = u/(1+u), P du = (e^{top+a}/pi) tau^{n-2} e^{-a tau} [g1 (1-tau)
-    + g2 (1-tau)^2 + g3 (1-tau)^3] dtau: one truncated gamma integral with
-    nonnegative weights on powers of 1 - tau, one kernel call for every |z|^2
-    (the bracket is taken per |z|^2).  Tends to density_complex(n, a) as
-    t -> inf.
+    One truncated gamma integral of the tau-form up to t/(1+t), a sum of
+    positive terms, in one kernel call for every |z|^2 (the form is taken
+    per |z|^2).  Tends to density_complex(n, a) as t -> inf.
     """
     n = integer("n", n, 2)
     scalar = np.isscalar(t) and np.isscalar(z_abs_sq)
     tb = _as_t(t)
     a = np.asarray(z_abs_sq, dtype=float)
-    # (top, g1, g2, g3) per |z|^2; an empty a gives an empty (..., 4) array
-    b = np.array([_bracket(n, x)[2:] for x in a.ravel()]).reshape(a.shape + (4,))
-    weights = np.concatenate([np.zeros(a.shape + (1,)), b[..., 1:]], axis=-1)
-    log_i = specfun.log_lower_integral(n - 1, a, tb / (1.0 + tb), weights)
-    out = np.exp(b[..., 0] + a - math.log(math.pi) + log_i)
+    forms = [_tau_form(n, x) for x in a.ravel()]
+    log_pref = np.array([f[0] for f in forms]).reshape(a.shape)
+    c = np.array([f[3] for f in forms]).reshape(a.shape + (4,))
+    out = np.exp(log_pref + specfun.log_lower_integral(n - 1, a, tb / (1.0 + tb), c))
     return float(out) if scalar else out
 
 

@@ -2,18 +2,17 @@
 
 The central object is the joint density P(t, lambda) of the self-overlap
 t = O_ll - 1 of the bi-orthogonal eigenvector pair belonging to a real
-eigenvalue lambda of an N x N matrix with i.i.d. N(0,1) entries.  Two
-algebraically equivalent finite-N expressions are provided:
+eigenvalue lambda of an N x N matrix with i.i.d. N(0,1) entries:
 
-* ``form="sum"``: a manifestly positive k-sum,
+    P = e^{-(l^2/2)(1 + tau)} t^{(N-3)/2} (1+t)^{-(N+1)/2} / (2 sqrt(2 pi))
+        * sum_{k<N} (l^{2k}/k!) [(N-1-k) + k/(1+t)],   tau = t/(1+t).
 
-      P = e^{-(l^2/2)(1 + tau)} t^{(N-3)/2} (1+t)^{-(N+1)/2} / (2 sqrt(2 pi))
-          * sum_{k<N} (l^{2k}/k!) [(N-1-k) + k/(1+t)],   tau = t/(1+t)
-
-* ``form="gamma"``: a two-term bracket of regularized incomplete gammas.
-
-Under tau = t/(1+t) its integral over t is a sum of two truncated gamma
-integrals (:func:`jpd_real_cumulative`); over all t it recovers the mean
+Under tau it is one tau-form (_tau_form): C0 e^{a/2} tau^{(N-3)/2}
+e^{-a tau/2} [c0 + c1 (1-tau)] dtau with a = lambda^2, where
+c0 = e^{-a} sum_k (N-1-k) a^k/k! and c1 = e^{-a} sum_k k a^k/k! are sums
+of positive terms, so no evaluation subtracts.  The density, its integral
+over t (:func:`jpd_real_cumulative`) and two determinant ratios
+(:mod:`detratio`) all read that form; over all t it recovers the mean
 density of real eigenvalues (Edelman/Kostlan/Shub), :func:`density_real`.
 Bulk (lambda = sqrt(N) x, t = N s) and edge (lambda = sqrt(N) + delta,
 t = sqrt(N) sigma) scaling limits are provided in closed form.
@@ -44,76 +43,49 @@ def _as_t(t) -> np.ndarray:
     return tb
 
 
-def _as_flat(t, lam):
-    t = _as_t(t)
-    lam = np.asarray(lam, dtype=float)
-    shape = np.broadcast_shapes(t.shape, lam.shape)
-    tb = np.broadcast_to(t, shape).astype(float).ravel()
-    lb = np.broadcast_to(lam, shape).astype(float).ravel()
-    return tb, lb, shape
+def _tau_form(n: int, a):
+    """(log_pref, s, x, c): P(t, lambda) = e^{log_pref + specfun.log_tau_form(s, x, c, t)}
+    at order n >= 2, with a = lambda^2 (array-like; c has a's shape + (2,)).
+
+    c0 and c1 (see the module docstring) are each one log-sum-exp over k,
+    scaled by the largest term of the two, which log_pref carries.
+    """
+    a = np.asarray(a, dtype=float)
+    if not ((a >= 0.0) & (a < np.inf)).all():   # also rejects NaN
+        raise DomainError(f"lambda^2 must be finite, got {a}")
+    k = np.arange(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_u = k * np.log(a)[..., None] - np.array([math.lgamma(j + 1.0) for j in k])
+        log_u[..., 0] = 0.0                                   # a^0/0! = 1, also at a = 0
+        terms = log_u[..., None, :] + np.log([n - 1.0 - k, k])   # (..., 2, n)
+    top = terms.max(axis=(-2, -1))
+    c = np.exp(terms - top[..., None, None]).sum(axis=-1)
+    return _LN_C0 - 0.5 * a + top, 0.5 * (n - 1), 0.5 * a, c
 
 
-def _restore(flat, shape, scalar):
-    out = flat.reshape(shape)
-    return float(out[()]) if scalar else out
-
-
-def jpd_real(n: int, t, lam, form: str = "gamma"):
+def jpd_real(n: int, t, lam):
     """Joint density P(t, lambda) for a size-n real Ginibre matrix, n >= 2.
 
     t > 0 and lambda broadcast elementwise; returns float for scalar input.
-    Both forms agree to ~1e-13 relative; "gamma" is the default evaluator,
-    "sum" is the manifestly positive cross-check.
     """
     n = integer("n", n, 2)
     scalar = np.isscalar(t) and np.isscalar(lam)
-    tb, lb, shape = _as_flat(t, lam)
-    a = lb * lb
-    tau = tb / (1.0 + tb)
-    log_pref = (_LN_C0 + 0.5 * (n - 3) * np.log(tb)
-                - 0.5 * (n + 1) * np.log1p(tb))
-
-    if form == "gamma":
-        # Q depends on lambda alone: the bracket evaluates it once per lambda
-        log_b = specfun.log_gamma_bracket(n - 1, np.asarray(lam, dtype=float) ** 2)
-        out = np.exp(log_pref + a / (2.0 * (1.0 + tb)) + log_b(tau.reshape(shape)).ravel())
-    elif form == "sum":
-        k = np.arange(n, dtype=float)
-        lgk = np.array([specfun.log_gamma(kk + 1.0) for kk in k])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_a = np.where(a > 0.0, np.log(a), -np.inf)
-            log_u = k[:, None] * log_a[None, :] - lgk[:, None]   # (n, M)
-        log_u[0, :] = 0.0                                        # k = 0 term is 1 even at a = 0
-        m = np.max(log_u, axis=0)
-        weights = (n - 1.0 - k)[:, None] + k[:, None] / (1.0 + tb)[None, :]
-        s = np.sum(np.exp(log_u - m[None, :]) * weights, axis=0)
-        logp = log_pref - 0.5 * a * (1.0 + tau) + m + np.log(np.maximum(s, 0.0))
-        out = np.where(s > 0.0, np.exp(logp), 0.0)
-    else:
-        raise DomainError(f"unknown form {form!r}, expected 'sum' or 'gamma'")
-    return _restore(out, shape, scalar)
+    log_pref, s, x, c = _tau_form(n, np.asarray(lam, dtype=float) ** 2)
+    out = np.exp(log_pref + specfun.log_tau_form(s, x, c, _as_t(t)))
+    return float(out) if scalar else out
 
 
 def jpd_real_cumulative(n: int, t, lam):
     """int_0^t P(u, lambda) du for t > 0 and lambda, which broadcast; n >= 2.
 
-    Under tau = u/(1+u), P du = C0 e^{a/2} tau^{(n-3)/2} e^{-a tau/2}
-    [(n-1) Q_n(a) - a tau Q_{n-1}(a)] dtau with a = lambda^2: two truncated
-    gamma integrals I_s(a/2, t/(1+t)), combined in log space (the difference
-    loses at most about a digit past the edge).  Tends to density_real(n,
-    lambda) as t -> inf.
+    One truncated gamma integral of the tau-form up to t/(1+t), a sum of
+    positive terms.  Tends to density_real(n, lambda) as t -> inf.
     """
     n = integer("n", n, 2)
     scalar = np.isscalar(t) and np.isscalar(lam)
     tb = _as_t(t)
-    a = np.asarray(lam, dtype=float) ** 2
-    tau = tb / (1.0 + tb)
-    log_pos = (math.log(n - 1) + specfun.log_reg_gamma_q(n, a)
-               + specfun.log_lower_integral(0.5 * (n - 1), 0.5 * a, tau))
-    with np.errstate(divide="ignore"):
-        log_neg = (np.log(a) + specfun.log_reg_gamma_q(n - 1, a)
-                   + specfun.log_lower_integral(0.5 * (n + 1), 0.5 * a, tau))
-    out = np.exp(_LN_C0 + 0.5 * a + log_pos + np.log(-np.expm1(log_neg - log_pos)))
+    log_pref, s, x, c = _tau_form(n, np.asarray(lam, dtype=float) ** 2)
+    out = np.exp(log_pref + specfun.log_lower_integral(s, x, tb / (1.0 + tb), c))
     return float(out) if scalar else out
 
 

@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -107,13 +108,14 @@ def _write_json(args, payload: dict) -> None:
 
 def _write_plot_script(out_path: str, columns: list[str]) -> None:
     stem = out_path.rsplit(".", 1)[0]
+    data = os.path.basename(out_path)   # the script sits beside the data
     xcol = len(columns) - 1
     script = "\n".join([
         "set datafile separator ','",
         "set logscale xy",
         f"set xlabel '{columns[-2]}'",
         f"set ylabel '{columns[-1]}'",
-        f"plot '{out_path}' every ::1 using {xcol}:{xcol + 1} with lines title '{columns[-1]}'",
+        f"plot '{data}' every ::1 using {xcol}:{xcol + 1} with lines title '{columns[-1]}'",
         "pause -1",
     ]) + "\n"
     with open(stem + ".gp", "w") as fh:
@@ -128,7 +130,7 @@ def _cmd_analytic(args) -> int:
     t_grid = _parse_grid(args.t_grid)
     if args.ensemble == "real":
         loc = args.lam
-        vals = analytic_real.jpd_real(args.n, t_grid, loc, form=args.form)
+        vals = analytic_real.jpd_real(args.n, t_grid, loc)
         beta = 1
     else:
         loc = args.abs_z
@@ -137,8 +139,7 @@ def _cmd_analytic(args) -> int:
     rows = [{"n": args.n, "beta": beta, "lambda_or_abs_z": float(loc),
              "t": float(t), "density": float(v)} for t, v in zip(t_grid, vals)]
     prov = _provenance("analytic", {"ensemble": args.ensemble, "n": args.n,
-                                    "location": float(loc), "t_grid": args.t_grid,
-                                    "form": args.form}, None)
+                                    "location": float(loc), "t_grid": args.t_grid}, None)
     _emit(args, rows, prov, ["n", "beta", "lambda_or_abs_z", "t", "density"])
     return 0
 
@@ -241,9 +242,9 @@ def _cmd_selftest(args) -> int:
 
     check("reg_gamma_q(3,2) = 5 e^-2",
           abs(specfun.reg_gamma_q(3, 2.0) - 5.0 * math.exp(-2.0)) < 1e-14)
-    v_sum = analytic_real.jpd_real(5, 1.3, 0.8, form="sum")
-    v_gam = analytic_real.jpd_real(5, 1.3, 0.8, form="gamma")
-    check("real JPD form equivalence", abs(v_sum - v_gam) <= 1e-12 * v_gam)
+    v_zero = 4.0 * 1.3 * 2.3 ** -3 / (2.0 * math.sqrt(2.0 * math.pi))   # n = 5, t = 1.3
+    check("real JPD at lambda=0 in closed form",
+          abs(analytic_real.jpd_real(5, 1.3, 0.0) - v_zero) <= 1e-12 * v_zero)
     from .quadrature import integrate_semi_infinite
 
     val, _ = integrate_semi_infinite(lambda t: analytic_real.jpd_real(4, t, 0.5))
@@ -329,7 +330,6 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--abs-z", type=float, default=0.0)
     p.add_argument("--t-grid", required=True, help="log:lo:hi:count or lin:lo:hi:count")
-    p.add_argument("--form", choices=("gamma", "sum"), default="gamma")
     _add_output(p)
 
     p = subs.add_parser("density", help="evaluate the mean eigenvalue density")

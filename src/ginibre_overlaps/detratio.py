@@ -8,22 +8,25 @@ The object of interest is
 whose Laplace structure in p encodes the overlap densities.  Supported
 (beta, L) pairs: (1,0), (1,2), (2,0), (2,1), (2,2) with z real for beta=1.
 
-Each supported pair is one Laplace integral, with a = |z|^2, tau = t/(1+t)
-and om = 1/(1+t) = 1 - tau (lnG = log Gamma):
+Each supported pair is one Laplace integral of a tau-form (see
+specfun.log_tau_form), with a = |z|^2, tau = t/(1+t), om = 1/(1+t) = 1 - tau
+and every c_m >= 0 (lnG = log Gamma):
 
-    D = int_0^inf e^{-pt} tau^k om^j exp(log_pref - c tau + log_bracket) dt
+    D = int_0^inf e^{-pt} e^{log_pref} tau^{s-1} e^{-x tau} om^j sum_m c_m om^m dt
 
-    route   log_pref                            c    k        j  log_bracket
-    (1,0)   -(n/2) ln2 - lnG(n/2)               a/2  n/2 - 1  1  -
-    (1,2)   lnG(n) - (n/2) ln2 - lnG(n/2) + a   a/2  n/2 - 1  2  log B_n(a, tau)
-    (2,0)   -lnG(n)                             a    n - 1    1  -
-    (2,1)   a                                   a    n - 1    2  log B_n(a, tau)
-    (2,2)   lnG(n+1) + 2a + top                 a    n - 1    3  log(g1 + g2 om + g3 om^2)
-    zero    ln n + lnG(n+2)                     0    n - 1    3  -
+    (beta, L)  log_pref                               s    x    c        j
+    (1,0)      -(n/2) ln2 - lnG(n/2)                  n/2  a/2  (1)      1
+    (1,2)      lnG(n) - (n/2) ln2 - lnG(n/2) + a + b  n/2  a/2  real     2
+    (2,0)      -lnG(n)                                n    a    (1)      1
+    (2,1)      a + b                                  n    a    real     2
+    (2,2)      ln(pi n!) + a + l                      n    a    complex  2
 
-where B_n = n Q_{n+1}(a) - a tau Q_n(a) (specfun.log_gamma_bracket), and
-top, g1..g3 are the complex density's bracket at order n+1.  It is
-evaluated by adaptive quadrature.
+"real" is the real overlap density's weights (c0, c1) at order n + 1, with
+e^b (c0 + c1 om) = n Q_{n+1}(a) - a tau Q_n(a); "complex" and l are the
+weights and log_pref of the complex overlap density's tau-form at order
+n + 1 (analytic_real._tau_form, analytic_complex._tau_form).  So (1,2) and
+(2,2) are, up to constant factors, Laplace transforms of the overlap
+densities at order n + 1.  The integral is evaluated by adaptive quadrature.
 
 A brute-force Monte Carlo estimator is the oracle that validates the closed
 forms.  Per matrix A = z - G it takes log|det A| and log det(qI + A^H A),
@@ -48,8 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import ensemble, specfun
-from .analytic_complex import _bracket
+from . import analytic_complex, analytic_real, ensemble, specfun
 from .analytic_real import _log_eks_integral
 from .ensemble import EnsembleSpec, sample_ginibre_batch
 from .errors import DomainError, integer
@@ -230,66 +232,45 @@ def detratio_mc(q: DetRatioQuery, n_samples: int, *, seed: int = 0,
 # closed forms
 # ---------------------------------------------------------------------------
 
-def _laplace(p: float, log_pref: float, c: float, k: float, j: int, spec: QuadSpec,
-             log_bracket=None) -> float:
-    """int_0^inf e^{-pt} tau^k om^j exp(log_pref - c tau + log_bracket(tau, om)) dt
-    with tau = t/(1+t) and om = 1/(1+t) = 1 - tau.
+def _laplace(p: float, log_pref: float, s: float, x: float, c, j: int,
+             spec: QuadSpec) -> float:
+    """int_0^inf e^{-pt} exp(log_pref + specfun.log_tau_form(s, x, c, t, j)) dt.
 
     t is rescaled by the e^{-pt} kernel scale max(p, 1), so large p cannot hide
-    the integrand from the first panels; a negative k is the t -> 0 endpoint
-    exponent.  The bracket stays inside the exponent: as a separate factor,
-    e^{log_pref} times the bracket gives inf * 0 past the edge.
+    the integrand from the first panels; s < 1 makes s - 1 the t -> 0 endpoint
+    exponent.  The form stays inside the exponent: as a separate factor,
+    e^{log_pref} times the form gives inf * 0 past the edge.
     """
     scale = max(p, 1.0)
 
-    def f(s):
-        t = s / scale
-        om = 1.0 / (1.0 + t)
-        log_om = -np.log1p(t)
-        expo = log_pref - p * t + k * (np.log(t) + log_om) + j * log_om - c * t * om
-        if log_bracket is not None:
-            expo = expo + log_bracket(t * om, om)
-        return np.exp(expo) / scale
+    def f(u):
+        t = u / scale
+        return np.exp(log_pref - p * t + specfun.log_tau_form(s, x, c, t, j)) / scale
 
-    val, _ = integrate_semi_infinite(f, spec, singular_exponent_at_zero=k if k < 0 else None)
+    val, _ = integrate_semi_infinite(f, spec, singular_exponent_at_zero=s - 1 if s < 1 else None)
     return val
 
 
-def detratio_closed(q: DetRatioQuery, spec: QuadSpec = DEFAULT_SPEC,
-                    route: str = "general") -> float:
+def detratio_closed(q: DetRatioQuery, spec: QuadSpec = DEFAULT_SPEC) -> float:
     """Closed-form value of the determinant ratio at q: one row of the table
-    in the module docstring.
-
-    route="zero" selects the specialized z = 0 representation for
-    (beta, L) = (2, 2); it agrees with the general route to ~1e-8 and
-    exists as an independent cross-check.
-    """
+    in the module docstring."""
     n, a, p = q.n, abs(complex(q.z)) ** 2, q.p
-    if route == "zero":
-        if (q.beta, q.L) != (2, 2) or a != 0.0:
-            raise DomainError("route='zero' applies only to (beta, L) = (2, 2) at z = 0")
-        return _laplace(p, math.log(n) + specfun.log_gamma(n + 2.0), 0.0, n - 1, 3, spec)
-    if route != "general":
-        raise DomainError(f"unknown route {route!r}")
     if q.L == 0 and p == 0.0:
         raise DomainError("D^(0) diverges at p = 0: the integrand falls like 1/t")
-    if (q.beta, q.L) in ((1, 2), (2, 1)):
-        log_b = specfun.log_gamma_bracket(n, a)
-    if q.beta == 1:
-        log_norm = -0.5 * n * _LN2 - specfun.log_gamma(0.5 * n)
-        if q.L == 0:
-            return _laplace(p, log_norm, 0.5 * a, 0.5 * n - 1.0, 1, spec)
-        return _laplace(p, specfun.log_gamma(n) + log_norm + a, 0.5 * a, 0.5 * n - 1.0, 2,
-                        spec, lambda tau, om: log_b(tau))
+    log_norm = -0.5 * n * _LN2 - specfun.log_gamma(0.5 * n)
     if q.L == 0:
-        return _laplace(p, -specfun.log_gamma(n), a, n - 1, 1, spec)
-    if q.L == 1:
-        return _laplace(p, a, a, n - 1, 2, spec, lambda tau, om: log_b(tau))
-    # coefficient bundle at order n+1; its normalization Gamma(n+1)Gamma(n)
-    # combines with the 1/(n-1)! prefactor into Gamma(n+1)
-    _, _, top, g1, g2, g3 = _bracket(n + 1, a)
-    return _laplace(p, specfun.log_gamma(n + 1.0) + 2.0 * a + top, a, n - 1, 3, spec,
-                    lambda tau, om: np.log(g1 + g2 * om + g3 * om * om))
+        if q.beta == 1:
+            return _laplace(p, log_norm, 0.5 * n, 0.5 * a, (1.0,), 1, spec)
+        return _laplace(p, -specfun.log_gamma(n), n, a, (1.0,), 1, spec)
+    if q.L == 2 and q.beta == 2:
+        log_pref, s, x, c = analytic_complex._tau_form(n + 1, a)
+        return _laplace(p, math.log(math.pi) + specfun.log_gamma(n + 1.0) + a + log_pref,
+                        s, x, c, 2, spec)
+    log_pref, s, x, c = analytic_real._tau_form(n + 1, a)
+    b = log_pref - analytic_real._LN_C0 - 0.5 * a
+    if q.beta == 1:
+        return _laplace(p, specfun.log_gamma(n) + log_norm + a + b, s, x, c, 2, spec)
+    return _laplace(p, a + b, n, a, c, 2, spec)
 
 
 def detratio_real_l2_p0(n: int, lam: float) -> float:

@@ -7,9 +7,9 @@ dtau with c_m >= 0, into which the overlap densities integrate under
 tau = t/(1+t); on it, the regularized upper incomplete gamma Q(n, a) of
 integer order, computed as log Q so that it stays finite where Q itself
 underflows (a past ~n + 700), accurate to ~1e-13 relative for n up to a few
-hundred; the bracket m Q_{m+1}(a) - a tau Q_m(a) that the real overlap
-density and two determinant ratios share, in the same log space; and the
-scaled complementary error function erfcx.
+hundred; the log of the integrand itself at tau = t/(1+t), the form every
+overlap density takes (log_tau_form); and the scaled complementary error
+function erfcx.
 """
 
 from __future__ import annotations
@@ -187,24 +187,24 @@ def log_gamma_upper(n: int, a: float) -> float:
     return log_reg_gamma_q(n, a) + math.lgamma(n)
 
 
-def log_gamma_bracket(m: int, a):
-    """tau -> log B_m(a, tau), B_m = m Q_{m+1}(a) - a tau Q_m(a) =
-    [Gamma(m+1, a) - a tau Gamma(m, a)]/Gamma(m), positive for 0 <= tau <= 1.
+def log_tau_form(s: float, x, c, t, j: int = 2):
+    """log of tau^{s-1} e^{-x tau} (1-tau)^j sum_m c_m (1-tau)^m at tau = t/(1+t).
 
-    Q_m is evaluated here, once per a (scalar or array; tau broadcasts against
-    it), and Q_{m+1} = Q_m + e^{-a} a^m/m!.  As log Q_m + log(m Q_{m+1}/Q_m -
-    a tau) it stays finite where Q underflows; -inf where B rounds to <= 0.
+    t > 0, x and the leading axes of c (m runs along its last axis)
+    broadcast; every c_m >= 0, so the sum (Horner's rule in 1 - tau) has
+    only positive terms, and is -inf where it is 0.  Each overlap density is
+    e^{log_pref} times this form with j = 2, the Jacobian dtau/dt =
+    (1-tau)^2, so its integral over t up to T/(1-T) is
+    log_lower_integral(s, x, T, c).
     """
-    log_qm = log_reg_gamma_q(m, a)
+    t = np.asarray(t, dtype=float)
+    om = 1.0 / (1.0 + t)
+    log_om = -np.log1p(t)
+    poly = 0.0
+    for cm in np.moveaxis(np.asarray(c, dtype=float), -1, 0)[::-1]:
+        poly = poly * om + cm
     with np.errstate(divide="ignore"):
-        ratio = m + np.exp(m * np.log(a) - a - math.lgamma(m) - log_qm)
-
-    def log_b(tau):
-        b = ratio - a * tau
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(b > 0.0, log_qm + np.log(b), -np.inf)
-
-    return log_b
+        return (s - 1.0) * (np.log(t) + log_om) - x * t * om + j * log_om + np.log(poly)
 
 
 def _erfcx_cf(x: float) -> float:

@@ -1,4 +1,5 @@
-"""The eig/inv reference route for eigenvector overlaps, used only by tests.
+"""Independent references used only by tests: the eig/inv route for
+eigenvector overlaps, and the real overlap density in its gamma form.
 
 The package computes an overlap one eigenvalue at a time, from the paper's
 partial Schur decomposition (ensemble._overlaps_bordered, with
@@ -6,12 +7,18 @@ ensemble.overlap_schur_real as its entry point for one matrix).  The tests
 check it against this independent route: right eigenvectors from the dense
 nonsymmetric eigendecomposition, left eigenvectors as rows of the inverse
 eigenvector matrix (ensemble._overlaps_core), and t = O - 1.
+
+The package evaluates the real overlap density from its nonnegative
+weights under tau = t/(1+t) (analytic_real._tau_form); jpd_real_gamma is
+the same density as the two-term bracket of regularized incomplete gammas,
+evaluated at 40 digits, where its difference cannot cancel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
 from ginibre_overlaps.ensemble import _overlaps_core, default_real_tolerance, near_real
@@ -105,3 +112,29 @@ def classify_eigenvalues(samples, tol_real: float, beta: int = 1) -> ClassifiedS
             complex_plane.append(s)
     return ClassifiedSamples(real_line=real_line, complex_plane=complex_plane,
                              n_near_real_flagged=flagged)
+
+
+# ---------------------------------------------------------------------------
+# the real overlap density, gamma form
+# ---------------------------------------------------------------------------
+
+def jpd_real_gamma(n: int, t, lam: float) -> np.ndarray:
+    """P(t, lambda) of the size-n real Ginibre ensemble at 40 digits, as floats:
+
+    C0 t^{(n-3)/2} (1+t)^{-(n+1)/2} e^{a/(2(1+t))} [(n-1) Q_n(a) - a tau Q_{n-1}(a)],
+
+    C0 = 1/(2 sqrt(2 pi)), a = lambda^2, tau = t/(1+t); elementwise over t.
+    """
+    with mpmath.workdps(40):
+        a = mpmath.mpf(float(lam)) ** 2
+        qn = mpmath.gammainc(n, a, mpmath.inf, regularized=True)
+        qm = mpmath.gammainc(n - 1, a, mpmath.inf, regularized=True)
+        c0 = 1 / (2 * mpmath.sqrt(2 * mpmath.pi))
+
+        def one(tk):
+            tk = mpmath.mpf(tk)
+            return float(c0 * tk ** (mpmath.mpf(n - 3) / 2) * (1 + tk) ** (-mpmath.mpf(n + 1) / 2)
+                         * mpmath.exp(a / (2 * (1 + tk)))
+                         * ((n - 1) * qn - a * tk / (1 + tk) * qm))
+
+        return np.array([one(tk) for tk in np.ravel(t).tolist()]).reshape(np.shape(t))

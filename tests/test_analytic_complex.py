@@ -202,6 +202,21 @@ class TestCumulative:
                                        rtol=1e-14, atol=0.0)
         assert isinstance(ac.jpd_complex_cumulative(n, 1.0, 0.5), float)
 
+    @pytest.mark.parametrize("n", [2, 3, 6, 30, 200])
+    def test_first_moment_is_chalker_mehlig(self, n):
+        # E[O | z] rho(z) = int_0^inf (1+t) P dt: under tau the factor 1+t =
+        # 1/(1-tau) shifts the weights (0, g1, g2, g3) down one power, so it is
+        # one truncated gamma integral; Chalker-Mehlig's finite-N value is
+        # (1/pi) sum_{j=1}^{n} Q_j(a) = (1/pi) e^{-a} sum_{k<n} (n-k) a^k/k!
+        with mpmath.workdps(40):
+            for a in np.linspace(0.0, 1.3 * n + 5.0, 9).tolist():
+                log_pref, s, x, c = ac._tau_form(n, a)
+                got = math.exp(log_pref + specfun.log_lower_integral(s, x, 1.0, c[1:]))
+                am = mpmath.mpf(a)
+                ref = mpmath.exp(-am) * mpmath.fsum((n - k) * am ** k / mpmath.factorial(k)
+                                                    for k in range(n)) / mpmath.pi
+                assert abs(got - ref) <= 1e-12 * ref, (n, a)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             ac.jpd_complex_cumulative(6, 1.0, [0.5, -0.5])

@@ -8,6 +8,7 @@ import pytest
 from ginibre_overlaps import analytic_real as ar
 from ginibre_overlaps.errors import DomainError
 from ginibre_overlaps.quadrature import QuadSpec, integrate_finite, integrate_semi_infinite
+from reference import jpd_real_gamma
 
 # frozen oracle values (40-digit evaluation of the closed forms)
 JPD_2_1_0 = 0.0705236979434695359
@@ -40,14 +41,15 @@ class TestJpdReal:
         assert ar.jpd_real(5, 0.7, 1.3) == pytest.approx(JPD_5_07_13, rel=1e-13)
 
     def test_forms_agree(self):
+        # the tau-form against the gamma form at 40 digits
         rng = np.random.default_rng(1)
         for n in (2, 3, 5, 9, 14, 20):
             for _ in range(8):
                 t = float(10.0 ** rng.uniform(-3, 3))
                 lam = float(rng.uniform(-1.2, 1.2) * math.sqrt(n))
-                a = ar.jpd_real(n, t, lam, form="gamma")
-                b = ar.jpd_real(n, t, lam, form="sum")
-                assert b == pytest.approx(a, rel=1e-12)
+                a = ar.jpd_real(n, t, lam)
+                b = float(jpd_real_gamma(n, t, lam))
+                assert a == pytest.approx(b, rel=1e-12)
 
     def test_vectorized(self):
         t = np.geomspace(1e-2, 1e2, 17)
@@ -55,13 +57,12 @@ class TestJpdReal:
         assert out.shape == t.shape
         assert out[3] == pytest.approx(ar.jpd_real(4, float(t[3]), 0.7), rel=1e-15)
 
-    @pytest.mark.parametrize("form", ["gamma", "sum"])
-    def test_array_t_matches_scalar_loop(self, form):
+    def test_array_t_matches_scalar_loop(self):
         # array and scalar numpy exp/log may differ in the last bit
         t = np.geomspace(1e-3, 1e3, 15)
         for n, lam in ((2, 0.0), (6, 0.0), (6, 1.7), (30, 5.2), (30, -6.0)):
-            out = ar.jpd_real(n, t, lam, form=form)
-            ref = [ar.jpd_real(n, float(tk), lam, form=form) for tk in t]
+            out = ar.jpd_real(n, t, lam)
+            ref = [ar.jpd_real(n, float(tk), lam) for tk in t]
             np.testing.assert_allclose(out, ref, rtol=1e-13, atol=0.0)
 
     def test_symmetry_exact(self):
@@ -85,8 +86,6 @@ class TestJpdReal:
             ar.jpd_real(4, 0.0, 0.0)
         with pytest.raises(DomainError):
             ar.jpd_real(4, -1.0, 0.0)
-        with pytest.raises(DomainError):
-            ar.jpd_real(4, 1.0, 0.0, form="other")
 
     def test_outermost_lambda_normalization(self):
         # |lambda| = 1.2 sqrt(n) sits outside the typical support; the
@@ -104,19 +103,29 @@ class TestJpdReal:
 
     def test_forms_agree_large_n(self):
         for lam in (0.0, 0.9 * math.sqrt(80.0)):
-            g = ar.jpd_real(80, 80.0, lam, form="gamma")
-            s = ar.jpd_real(80, 80.0, lam, form="sum")
-            assert s == pytest.approx(g, rel=1e-12)
+            g = float(jpd_real_gamma(80, 80.0, lam))
+            assert ar.jpd_real(80, 80.0, lam) == pytest.approx(g, rel=1e-12)
 
     def test_gamma_form_past_the_edge(self):
         # lambda^2 = 784 > n + 700: Q_n(lambda^2) underflows, the density does
-        # not until t ~ 30; where the sum form gives 0 the gamma form must too
+        # not until t ~ 30; where the reference rounds to 0 the density must too
         t = np.geomspace(1e-3, 1e3, 13)
-        g = ar.jpd_real(6, t, 28.0)
-        s = ar.jpd_real(6, t, 28.0, form="sum")
-        assert g[0] > 0.0
-        for tk, gk, sk in zip(t, g, s):
-            assert gk == pytest.approx(sk, rel=5e-12), tk
+        got = ar.jpd_real(6, t, 28.0)
+        ref = jpd_real_gamma(6, t, 28.0)
+        assert got[0] > 0.0
+        # relative, with no absolute floor (pytest.approx adds one of 1e-12)
+        for tk, gk, rk in zip(t, got, ref):
+            assert abs(gk - rk) <= 5e-12 * rk, tk
+
+    def test_past_the_edge_large_n(self):
+        # lambda^2 = 784 far past the edge at n = 80: the gamma form's bracket
+        # (n-1) Q_n - a tau Q_{n-1} cancels as t grows; the tau-form never subtracts
+        t = np.geomspace(1e-3, 1e3, 13)
+        got = ar.jpd_real(80, t, 28.0)
+        ref = jpd_real_gamma(80, t, 28.0)
+        # relative, with no absolute floor: the values lie near 1e-230
+        for tk, gk, rk in zip(t, got, ref):
+            assert abs(gk - rk) <= 1e-12 * rk, tk
 
 
 class TestDensityReal:

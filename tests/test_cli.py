@@ -57,7 +57,11 @@ class TestAnalyticCommand:
                        "--lambda", "0", "--t-grid", "log:1e-1:10:5",
                        "--out", str(out), "--emit-plot"])
         assert rc == 0
-        assert (tmp_path / "jpd.gp").exists()
+        script = _read(tmp_path / "jpd.gp")
+        # the script sits beside the data and names it by its basename only,
+        # so gnuplot finds it from the script's directory
+        assert "plot 'jpd.csv' every" in script
+        assert str(tmp_path) not in script
 
 
 class TestDensityCommand:
@@ -279,6 +283,7 @@ class TestUsage:
         compare = ["compare", "--beta", "2", "--n", "4", "--matrices", "10",
                    "--window", "annulus:0:0.5"]
         for argv in (analytic + ["--threads", "2"], analytic + ["--seed", "1"],
+                     analytic + ["--form", "sum"],
                      density + ["--threads", "2"], density + ["--seed", "1"],
                      detratio + ["--threads", "2"],
                      ["selftest", "--threads", "2"], ["selftest", "--seed", "1"],

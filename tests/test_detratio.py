@@ -155,10 +155,11 @@ class TestAgainstReference:
             assert detratio.detratio_closed(q) == pytest.approx(
                 _reference_closed(q), rel=1e-12), case
 
-    def test_zero_route_matches_reference(self):
+    def test_z0_matches_zero_reference(self):
+        # at z = 0 the (2, 2) integrand has no bracket: the general row must match it
         for n in (1, 2, 3, 4, 6, 10, 30):
             for p in (0.0, 0.1, 1.0, 5.0, 1e3, 1e5):
-                got = detratio.detratio_closed(_q(n, 2, 2, 0.0, p), route="zero")
+                got = detratio.detratio_closed(_q(n, 2, 2, 0.0, p))
                 assert got == pytest.approx(
                     _ref_closed_complex_l2_zero(n, p, DEFAULT_SPEC), rel=1e-12), (n, p)
 
@@ -538,18 +539,6 @@ class TestIdentities:
         for n in (2, 3):
             q = _q(n, 2, 0, 0.8, 1e5)
             assert detratio.detratio_closed(q) * 1e5**n == pytest.approx(1.0, rel=1e-3)
-
-    def test_zero_route_agrees_with_general(self):
-        for n in (2, 4, 8):
-            for p in (0.5, 5.0):
-                q = _q(n, 2, 2, 0.0, p)
-                general = detratio.detratio_closed(q)
-                zero = detratio.detratio_closed(q, route="zero")
-                assert zero == pytest.approx(general, rel=1e-8)
-
-    def test_zero_route_rejected_elsewhere(self):
-        with pytest.raises(DomainError):
-            detratio.detratio_closed(_q(3, 2, 2, 1.0, 1.0), route="zero")
 
     def test_eks_value_matches_p0_quadrature(self):
         for n, lam in ((3, 0.0), (4, 0.7), (6, 1.5), (6, 28.0), (10, 40.0)):

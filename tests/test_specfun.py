@@ -136,7 +136,7 @@ class TestRegGammaQ:
                      lambda: analytic_complex.jpd_complex(6, 1.0, nan),
                      lambda: specfun.log_lower_integral(1.5, nan, 0.5),
                      lambda: specfun.log_reg_gamma_q(6, nan),
-                     lambda: specfun.log_gamma_bracket(6, nan),
+                     lambda: analytic_real.jpd_real_cumulative(6, 1.0, nan),
                      lambda: detratio.DetRatioQuery(n=4, beta=2, L=1, z=0.5, p=nan),
                      lambda: analytic_complex.sensitivity_density(2, nan, 0.0),
                      lambda: analytic_real.jpd_real_bulk(1.0, nan),
