@@ -10,12 +10,24 @@ where d1, d2 are differences of products of upper incomplete gamma
 functions of orders N-1..N+2 at a, and D1, D2 are fixed polynomial
 combinations of d1, d2 at orders N and N-1.
 
-Numerical strategy: each of d1, d2, D1, D2 equals e^{-2a} times a
-polynomial in a whose coefficients are *nonnegative integers* once the
-gamma products are combined exactly.  The implementation builds those
-integer polynomials once per N and evaluates them as positive log-sums,
-which removes the catastrophic cancellation the naive gamma-product form
-suffers near a ~ N, at every N, with no extended precision needed.
+Numerical strategy: with m = N-2 and f_i = m!/(m-i)!, each weight W is a
+double sum of nonnegative terms,
+
+    2 e^{2a} W = sum_{i,j=0..m} f_i f_j a^{2m-i-j} F_W(i, j),
+
+    F_d1 = (i-j)^2 + i + j + 2,
+    F_D1 = 4 + 5(i+j) + 2(i+j)^2 + i^3 + j^3 + ij(i-j)^2,
+    F_D2 = 8 + 6(i+j) + 5(i-j)^2 + 4ij + (i+j)(i-j)^2,
+    F_d2 = 2a F_d1 + (i+1)[(i-j+1)^2 + i+j+3] + (j+1)[(i-j-1)^2 + i+j+3],
+
+with every F_W >= 0 for i, j >= 0 (F_d1 follows from d1 = (1/2) int int
+(xy)^m (x-y)^2 e^{-x-y} over x, y >= a; all four equal the gamma products
+combined exactly in integers, tests/reference.py).  Divided by
+Gamma(N) Gamma(N-1), the coefficient of a^k is
+sum_{p+q=k} F_W(m-p, m-q) / (2(m+1) p! q!) (d2 adds its a F_d1 part one
+power up).  _log_weights tabulates the log of every coefficient once per N
+in O(N^2) floats; a weight at any a is then one log-sum-exp over the
+powers, so nothing cancels, near a ~ N included.
 
 Under tau = t/(1+t) it is one tau-form (_tau_form): e^{top+a}/pi
 tau^{N-2} e^{-a tau} (1-tau)^2 [g1 (1-tau) + g2 (1-tau)^2 + g3 (1-tau)^3]
@@ -42,111 +54,36 @@ from .quadrature import DEFAULT_SPEC, QuadSpec, integrate_semi_infinite
 
 
 # ---------------------------------------------------------------------------
-# integer polynomial kernel
+# weights as positive double sums
 # ---------------------------------------------------------------------------
 
-def _poly_upper(n: int) -> list[int]:
-    """Coefficients of P_n with Gamma(n, a) = e^{-a} P_n(a); all integers."""
-    f = math.factorial(n - 1)
-    return [f // math.factorial(k) for k in range(n)]
+def _index_polys(i, j):
+    """(F_d1, F_d2 - 2a F_d1, F_D1, F_D2) at indices i, j (ints or integer arrays)."""
+    s, d = i + j, (i - j) ** 2
+    return (d + s + 2,
+            (i + 1) * ((i - j + 1) ** 2 + s + 3) + (j + 1) * ((i - j - 1) ** 2 + s + 3),
+            4 + 5 * s + 2 * s * s + i ** 3 + j ** 3 + i * j * d,
+            8 + 6 * s + 5 * d + 4 * i * j + s * d)
 
 
-def _pmul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, ci in enumerate(p):
-        if ci:
-            for j, cj in enumerate(q):
-                out[i + j] += ci * cj
+@lru_cache(maxsize=256)
+def _log_weights(n: int) -> np.ndarray:
+    """(4, 2n-2) read-only array: log of the a^k coefficient, k = 0..2n-3, of
+    e^{2a} W / (Gamma(n) Gamma(n-1)) for W = d1, d2, D1, D2 (rows); -inf
+    where a row has no such power."""
+    m, ln2 = n - 2, math.log(2.0)
+    p = np.arange(m + 1)
+    k = p[:, None] + p
+    lg = np.array([math.lgamma(j + 1.0) for j in range(2 * m + 2)])
+    # 1/(p! q!) = 2^k/k! times C(k, p)/2^k <= 1, which cannot overflow
+    share = np.exp(lg[k] - lg[p][:, None] - lg[p] - ln2 * k)
+    sums = [np.bincount(k.ravel(), (f * share).ravel(), minlength=2 * m + 2)
+            for f in _index_polys(m - p[:, None], m - p)]
+    with np.errstate(divide="ignore"):
+        out = np.log(sums) + ln2 * np.arange(2 * m + 2) - lg - math.log(2.0 * (m + 1))
+    out[1, 1:] = np.logaddexp(out[1, 1:], ln2 + out[0, :-1])   # d2's 2a F_d1 part
+    out.flags.writeable = False
     return out
-
-
-def _paxpy(out, p, scale, shift=0):
-    if len(out) < len(p) + shift:
-        out.extend([0] * (len(p) + shift - len(out)))
-    for i, c in enumerate(p):
-        out[i + shift] += scale * c
-    return out
-
-
-@lru_cache(maxsize=256)
-def _d_polys(n: int):
-    """Integer polynomials p1, p2 with d1 = e^{-2a} p1(a), d2 = e^{-2a} p2(a)."""
-    pm, pn = _poly_upper(n - 1), _poly_upper(n)
-    pp, pq = _poly_upper(n + 1), _poly_upper(n + 2)
-    p1 = [x - y for x, y in _zip_pad(_pmul(pm, pp), _pmul(pn, pn))]
-    p2 = [x - y for x, y in _zip_pad(_pmul(pm, pq), _pmul(pn, pp))]
-    return tuple(p1), tuple(p2)
-
-
-def _zip_pad(p, q):
-    m = max(len(p), len(q))
-    return zip(p + [0] * (m - len(p)), q + [0] * (m - len(q)))
-
-
-@lru_cache(maxsize=256)
-def _big_polys(n: int):
-    """Integer polynomials for D1, D2 at order n (consuming order n-1 inside)."""
-    p1n, p2n = _d_polys(n)
-    if n >= 3:
-        p1m, p2m = _d_polys(n - 1)
-    else:
-        p1m, p2m = (0,), (0,)
-    d1 = []
-    _paxpy(d1, list(p1m), (n - 1) * (n - 2), shift=2)          # a^2 (N-1)(N-2) d1^{(N-1)}
-    _paxpy(d1, list(p1n), (n - 1) * n)                          # (N-1)N d1^{(N)}
-    _paxpy(d1, list(p1n), -2 * n, shift=1)                      # -2aN d1^{(N)}
-    _paxpy(d1, list(p1n), -2, shift=2)                          # -2a^2 d1^{(N)}
-    _paxpy(d1, list(p2m), -(n - 2) * n, shift=1)                # -aN(N-2) d2^{(N-1)}
-    _paxpy(d1, list(p2m), (n - 2), shift=2)                     # +a^2(N-2) d2^{(N-1)}
-    _paxpy(d1, list(p2n), 1, shift=1)                           # +a d2^{(N)}
-    d2 = []
-    _paxpy(d2, list(p1n), 2 * n)                                # 2N d1^{(N)}
-    _paxpy(d2, list(p2m), -(n - 2), shift=1)                    # -a(N-2) d2^{(N-1)}
-    return tuple(d1), tuple(d2)
-
-
-@lru_cache(maxsize=256)
-def _log_tables(n: int):
-    """(powers, log coefficients) per quantity, plus exact a=0 normalized values.
-
-    All four combined polynomials have nonnegative coefficients, so their
-    values are positive log-sums; violation would mean a bookkeeping bug.
-    """
-    p1, p2 = _d_polys(n)
-    b1, b2 = _big_polys(n)
-    tables = []
-    for poly in (p1, p2, b1, b2):
-        if any(c < 0 for c in poly):
-            raise AssertionError(f"negative combined coefficient at n={n}")
-        ks = np.array([k for k, c in enumerate(poly) if c > 0], dtype=float)
-        lc = np.array([math.log(c) for c in poly if c > 0], dtype=float)
-        tables.append((ks, lc))
-    gg = math.factorial(n - 1) * math.factorial(n - 2)
-    zero_vals = tuple(poly[0] // gg if poly[0] % gg == 0 else poly[0] / gg
-                      for poly in (p1, p2, b1, b2))
-    return tuple(tables), zero_vals
-
-
-def _eval_log_poly(table, log_a: float) -> float:
-    ks, lc = table
-    terms = lc + ks * log_a
-    m = float(terms.max())
-    return m + math.log(float(np.exp(terms - m).sum()))
-
-
-@lru_cache(maxsize=2048)
-def _normalized_logs(n: int, a: float):
-    """Logs of d1, d2, D1, D2 each divided by Gamma(n) Gamma(n-1).
-
-    The -2a exponential factor is included, so these are logs of the true
-    normalized coefficient values.
-    """
-    tables, zero_vals = _log_tables(n)
-    if a == 0.0:
-        return tuple(math.log(v) for v in zero_vals)
-    log_a = math.log(a)
-    lgg = specfun.log_gamma(float(n)) + specfun.log_gamma(float(n - 1))
-    return tuple(_eval_log_poly(t, log_a) - 2.0 * a - lgg for t in tables)
 
 
 # ---------------------------------------------------------------------------
@@ -175,24 +112,31 @@ class CoeffBundle:
         return self.d1 * s, self.d2 * s, self.D1 * s, self.D2 * s
 
 
-def _checked_logs(n: int, z_abs_sq: float):
-    """(n, a, _normalized_logs(n, a)) for an integer n >= 2 and a = |z|^2
-    finite and >= 0."""
+def _checked_logs(n: int, z_abs_sq):
+    """(n, a, logs) for an integer n >= 2 and a = |z|^2 finite and >= 0
+    (array-like): logs[w] = log(W / (Gamma(n) Gamma(n-1))) at a, for
+    W = d1, d2, D1, D2, each of a's shape."""
     n = integer("n", n, 2)
-    a = float(z_abs_sq)
-    if not 0.0 <= a < math.inf:   # also rejects NaN
+    a = np.asarray(z_abs_sq, dtype=float)
+    if not ((a >= 0.0) & (a < np.inf)).all():   # also rejects NaN
         raise DomainError(f"|z|^2 must be finite and >= 0, got {z_abs_sq}")
-    return n, a, _normalized_logs(n, a)
+    table = _log_weights(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = table + np.arange(table.shape[1]) * np.log(a)[..., None, None]
+    terms[..., 0] = table[:, 0]                               # a^0 = 1, also at a = 0
+    top = terms.max(axis=-1)
+    logs = top + np.log(np.exp(terms - top[..., None]).sum(axis=-1)) - 2.0 * a[..., None]
+    return n, a, np.moveaxis(logs, -1, 0)
 
 
 def coeffs(n: int, z_abs_sq: float) -> CoeffBundle:
     """Coefficient bundle of the finite-N joint density at (n, |z|^2)."""
-    n, a, logs = _checked_logs(n, z_abs_sq)
+    n, a, logs = _checked_logs(n, float(z_abs_sq))
     lgg = specfun.log_gamma(float(n)) + specfun.log_gamma(float(n - 1))
-    true_logs = [lv + lgg for lv in logs]
+    true_logs = [float(lv) + lgg for lv in logs]
     top = max(true_logs)
     vals = [math.exp(lv - top) for lv in true_logs]
-    return CoeffBundle(n=n, z_abs_sq=a, log_scale=top,
+    return CoeffBundle(n=n, z_abs_sq=float(a), log_scale=top,
                        d1=vals[0], d2=vals[1], D1=vals[2], D2=vals[3])
 
 
@@ -200,28 +144,32 @@ def coeffs(n: int, z_abs_sq: float) -> CoeffBundle:
 # densities
 # ---------------------------------------------------------------------------
 
-def _bracket(n: int, z_abs_sq: float):
+def _bracket(n: int, z_abs_sq):
     """(n, a, top, g1, g2, g3): P = (e^{top + a om}/pi) tau^{n-2} (1+t)^{-3}
-    [g1 + g2 om + g3 om^2] with om = 1/(1+t) = 1 - tau and a = |z|^2."""
+    [g1 + g2 om + g3 om^2] with om = 1/(1+t) = 1 - tau and a = |z|^2
+    (array-like; top and the g's have its shape)."""
     n, a, (l1, _, l3, l4) = _checked_logs(n, z_abs_sq)
-    top = max(l1, l3, l4)
-    return n, a, top, math.exp(l3 - top), a * math.exp(l4 - top), a * a * math.exp(l1 - top)
+    top = np.maximum(np.maximum(l1, l3), l4)
+    return n, a, top, np.exp(l3 - top), a * np.exp(l4 - top), a * a * np.exp(l1 - top)
 
 
-def _tau_form(n: int, z_abs_sq: float):
+def _tau_form(n: int, z_abs_sq):
     """(log_pref, s, x, c): P(t, z) = e^{log_pref + specfun.log_tau_form(s, x, c, t)}
-    at order n >= 2, with x = a = |z|^2 and c = (0, g1, g2, g3) from _bracket."""
+    at order n >= 2, with x = a = |z|^2 (array-like; c has a's shape + (4,))
+    and c = (0, g1, g2, g3) from _bracket."""
     n, a, top, g1, g2, g3 = _bracket(n, z_abs_sq)
-    return top + a - math.log(math.pi), n - 1, a, (0.0, g1, g2, g3)
+    c = np.stack([np.zeros_like(a), g1, g2, g3], axis=-1)
+    return top + a - math.log(math.pi), n - 1, a, c
 
 
-def jpd_complex(n: int, t, z_abs_sq: float):
+def jpd_complex(n: int, t, z_abs_sq):
     """Joint density P(t, z) of self-overlap and eigenvalue, n >= 2.
 
-    t > 0 may be an array; z enters only through |z|^2 >= 0 (scalar).
+    t > 0 and |z|^2 >= 0 broadcast elementwise (z enters only through |z|^2);
+    returns float for scalar input.
     """
     log_pref, s, x, c = _tau_form(n, z_abs_sq)
-    scalar = np.isscalar(t)
+    scalar = np.isscalar(t) and np.isscalar(z_abs_sq)
     out = np.exp(log_pref + specfun.log_tau_form(s, x, c, _as_t(t)))
     return float(out) if scalar else out
 
@@ -230,17 +178,14 @@ def jpd_complex_cumulative(n: int, t, z_abs_sq):
     """int_0^t P(u, z) du for t > 0 and |z|^2 >= 0, which broadcast; n >= 2.
 
     One truncated gamma integral of the tau-form up to t/(1+t), a sum of
-    positive terms, in one kernel call for every |z|^2 (the form is taken
-    per |z|^2).  Tends to density_complex(n, a) as t -> inf.
+    positive terms, in one kernel call for every |z|^2.  Tends to
+    density_complex(n, a) as t -> inf.
     """
     n = integer("n", n, 2)
     scalar = np.isscalar(t) and np.isscalar(z_abs_sq)
     tb = _as_t(t)
-    a = np.asarray(z_abs_sq, dtype=float)
-    forms = [_tau_form(n, x) for x in a.ravel()]
-    log_pref = np.array([f[0] for f in forms]).reshape(a.shape)
-    c = np.array([f[3] for f in forms]).reshape(a.shape + (4,))
-    out = np.exp(log_pref + specfun.log_lower_integral(n - 1, a, tb / (1.0 + tb), c))
+    log_pref, s, x, c = _tau_form(n, z_abs_sq)
+    out = np.exp(log_pref + specfun.log_lower_integral(s, x, tb / (1.0 + tb), c))
     return float(out) if scalar else out
 
 
@@ -275,8 +220,8 @@ def jpd_complex_bulk(s, w_abs):
 
 
 def _edge_complex_scalar(sigma: float, delta: float) -> float:
-    if not (sigma > 0.0 and abs(delta) >= 0.0):   # also rejects NaN
-        raise DomainError(f"edge needs sigma > 0 and a number delta, got ({sigma}, {delta})")
+    if not (0.0 < sigma < math.inf and math.isfinite(delta)):   # also rejects NaN
+        raise DomainError(f"edge needs finite sigma > 0 and finite delta, got ({sigma}, {delta})")
     big = 1.0 - 2.0 * sigma * delta
     gauss = -big * big / (2.0 * sigma * sigma)
     sq2d = math.sqrt(2.0) * delta

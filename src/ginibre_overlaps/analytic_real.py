@@ -131,8 +131,8 @@ def jpd_real_bulk(s, x):
 
 
 def _edge_real_scalar(sigma: float, delta: float) -> float:
-    if not (sigma > 0.0 and abs(delta) >= 0.0):   # also rejects NaN
-        raise DomainError(f"edge needs sigma > 0 and a number delta, got ({sigma}, {delta})")
+    if not (0.0 < sigma < math.inf and math.isfinite(delta)):   # also rejects NaN
+        raise DomainError(f"edge needs finite sigma > 0 and finite delta, got ({sigma}, {delta})")
     expo = -0.25 / (sigma * sigma) + delta / sigma
     t1 = math.exp(expo - 2.0 * delta * delta) / _SQRT_2PI
     coef = 0.5 * (1.0 / sigma - 2.0 * delta)

@@ -55,8 +55,8 @@ class QuadSpec:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise DomainError("QuadSpec requires positive tolerances")
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise DomainError("QuadSpec requires finite positive tolerances")
         object.__setattr__(self, "max_subdivisions",
                            integer("max_subdivisions", self.max_subdivisions, 1))
 
@@ -157,8 +157,8 @@ def integrate_semi_infinite(f, spec: QuadSpec = DEFAULT_SPEC,
     m = 1
     if singular_exponent_at_zero is not None:
         alpha = float(singular_exponent_at_zero)
-        if alpha <= -1.0:
-            raise DomainError("endpoint exponent must be > -1 for integrability")
+        if not -1.0 < alpha < math.inf:   # also rejects NaN
+            raise DomainError("endpoint exponent must be finite and > -1 for integrability")
         if alpha < 0.0:
             m = max(1, math.ceil(1.0 / (1.0 + alpha) - 1e-12))
 

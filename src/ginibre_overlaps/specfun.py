@@ -239,12 +239,15 @@ _ERFCX_CROSSOVER = 1.5
 def erfcx(x: float) -> float:
     """Scaled complementary error function e^{x^2} erfc(x).
 
-    Decays like 1/(x sqrt(pi)) for large positive x; grows like 2 e^{x^2}
-    for negative x (and overflows once x < -26.6, as the true value does).
+    Decays like 1/(x sqrt(pi)) for large positive x, to 0 at +inf; grows
+    like 2 e^{x^2} for negative x (and overflows once x < -26.6, as the true
+    value does).  NaN raises DomainError.
     """
     x = float(x)
+    if math.isnan(x):
+        raise DomainError("erfcx requires a number, got nan")
     if x < 0.0:
         return 2.0 * math.exp(x * x) - erfcx(-x)
     if x < _ERFCX_CROSSOVER:
         return math.exp(x * x) * math.erfc(x)
-    return _erfcx_cf(x)
+    return _erfcx_cf(x) if x < math.inf else 0.0

@@ -12,11 +12,18 @@ The package evaluates the real overlap density from its nonnegative
 weights under tau = t/(1+t) (analytic_real._tau_form); jpd_real_gamma is
 the same density as the two-term bracket of regularized incomplete gammas,
 evaluated at 40 digits, where its difference cannot cancel.
+
+The package builds the complex weights d1, d2, D1, D2 from positive double
+sums in floats (analytic_complex._log_weights); complex_weight_polys gives
+each as e^{-2a} times a polynomial in a with exact integer coefficients,
+combined from products of incomplete gamma polynomials in Python ints.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -138,3 +145,59 @@ def jpd_real_gamma(n: int, t, lam: float) -> np.ndarray:
                          * ((n - 1) * qn - a * tk / (1 + tk) * qm))
 
         return np.array([one(tk) for tk in np.ravel(t).tolist()]).reshape(np.shape(t))
+
+
+# ---------------------------------------------------------------------------
+# the complex weights, exact integer polynomials
+# ---------------------------------------------------------------------------
+
+def _poly_upper(n: int) -> list[int]:
+    """Coefficients of P_n with Gamma(n, a) = e^{-a} P_n(a); all integers."""
+    f = math.factorial(n - 1)
+    return [f // math.factorial(k) for k in range(n)]
+
+
+def _pmul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, ci in enumerate(p):
+        for j, cj in enumerate(q):
+            out[i + j] += ci * cj
+    return out
+
+
+def _combine(*terms):
+    """sum of scale * a^shift * poly over (scale, shift, poly) terms, in ints."""
+    out = [0] * max(shift + len(poly) for _, shift, poly in terms)
+    for scale, shift, poly in terms:
+        for k, c in enumerate(poly):
+            out[k + shift] += scale * c
+    return out
+
+
+@lru_cache(maxsize=64)
+def _d_polys(n: int):
+    """Integer polynomials p1, p2 with d1 = e^{-2a} p1(a), d2 = e^{-2a} p2(a), n >= 2:
+    d1 = Gamma(n-1,a) Gamma(n+1,a) - Gamma(n,a)^2,
+    d2 = Gamma(n-1,a) Gamma(n+2,a) - Gamma(n,a) Gamma(n+1,a)."""
+    if n < 2:
+        return [0], [0]
+    pm, pn, pp, pq = (_poly_upper(k) for k in (n - 1, n, n + 1, n + 2))
+    p1 = _combine((1, 0, _pmul(pm, pp)), (-1, 0, _pmul(pn, pn)))
+    p2 = _combine((1, 0, _pmul(pm, pq)), (-1, 0, _pmul(pn, pp)))
+    return p1, p2
+
+
+def complex_weight_polys(n: int):
+    """(d1, d2, D1, D2) at order n >= 2, each as the integer coefficient list
+    of e^{2a} times the weight, in ascending powers of a (trailing zeros kept).
+
+    D1 = a^2 (n-1)(n-2) d1' + n(n-1) d1 - 2an d1 - 2a^2 d1 - an(n-2) d2'
+         + a^2 (n-2) d2' + a d2 and D2 = 2n d1 - a(n-2) d2', where d1, d2
+    are at order n and d1', d2' at order n - 1 (zero at n = 2).
+    """
+    p1, p2 = _d_polys(n)
+    q1, q2 = _d_polys(n - 1)
+    big1 = _combine(((n - 1) * (n - 2), 2, q1), (n * (n - 1), 0, p1), (-2 * n, 1, p1),
+                    (-2, 2, p1), (-n * (n - 2), 1, q2), (n - 2, 2, q2), (1, 1, p2))
+    big2 = _combine((2 * n, 0, p1), (-(n - 2), 1, q2))
+    return p1, p2, big1, big2

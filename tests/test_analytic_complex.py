@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import complex_weight_polys
 
 from ginibre_overlaps import analytic_complex as ac
 from ginibre_overlaps import specfun
@@ -76,6 +77,48 @@ class TestCoeffs:
             ac.coeffs(1, 0.0)
         with pytest.raises(DomainError):
             ac.coeffs(3, -1.0)
+
+
+def _trimmed(poly):
+    poly = list(poly)
+    while len(poly) > 1 and poly[-1] == 0:
+        poly.pop()
+    return poly
+
+
+class TestWeights:
+    """d1, d2, D1, D2 as positive double sums over the index polynomials."""
+
+    def test_double_sums_are_the_exact_polynomials(self):
+        # 2 e^{2a} W = sum_{i,j<=m} f_i f_j a^{2m-i-j} F_W(i, j), f_i = m!/(m-i)!,
+        # in Python ints, against the incomplete-gamma products combined exactly
+        for n in range(2, 61):
+            m = n - 2
+            f = [math.factorial(m) // math.factorial(m - i) for i in range(m + 1)]
+            sums = [[0] * (2 * m + 2) for _ in range(4)]
+            for i in range(m + 1):
+                for j in range(m + 1):
+                    k, w = 2 * m - i - j, f[i] * f[j]
+                    polys = ac._index_polys(i, j)
+                    for row, fw in zip(sums, polys):
+                        row[k] += w * fw
+                    sums[1][k + 1] += 2 * w * polys[0]   # d2's 2a F_d1 part
+            for got, ref in zip(sums, complex_weight_polys(n)):
+                assert _trimmed(got) == [2 * c for c in _trimmed(ref)], n
+
+    @pytest.mark.parametrize("n, bound", [(2, 1e-13), (4, 1e-13), (10, 1e-13), (30, 1e-13),
+                                          (60, 1e-13), (200, 5e-13)])
+    def test_logs_against_mpmath(self, n, bound):
+        # log(W / (Gamma(n) Gamma(n-1))) from the float table, against the
+        # exact integer polynomial at 50 digits
+        grid = [0.0, 1e-3, 0.3, n / 2, n, 1.3 * n + 5, 2 * n, 3 * n + 10]
+        _, _, logs = ac._checked_logs(n, grid)
+        with mpmath.workdps(50):
+            lgg = mpmath.log(mpmath.factorial(n - 1) * mpmath.factorial(n - 2))
+            for w, (poly, row) in enumerate(zip(complex_weight_polys(n), logs)):
+                for a, got in zip(grid, row.tolist()):
+                    ref = mpmath.log(mpmath.polyval(poly[::-1], a)) - 2 * a - lgg
+                    assert abs(got - ref) <= bound, (w, a)
 
 
 class TestJpdComplex:
@@ -189,7 +232,7 @@ class TestCumulative:
     def test_tends_to_density(self, n):
         for r in np.linspace(0.0, 2.0 * math.sqrt(n), 7).tolist():
             assert ac.jpd_complex_cumulative(n, 1e300, r * r) == pytest.approx(
-                ac.density_complex(n, r * r), rel=1e-12)
+                ac.density_complex(n, r * r), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("n", [2, 30, 200])
     def test_array_of_z_matches_scalar_calls(self, n):
@@ -327,6 +370,22 @@ class TestEdge:
                     - ac.jpd_complex_edge(s, d))
                 for s, d in grid))
         assert sups[0] > sups[1] > sups[2]
+
+    def test_finite_n_convergence_rate(self):
+        # on the same grid the sup error falls like N^{-1/2}: sqrt(N) sup
+        # measured 0.313, 0.295, 0.297 and 0.302 at these N
+        grid = [(s, d) for s in (0.5, 1.0, 2.0) for d in (0.0, 0.5)] + [(1.0, -0.5)]
+        ns = (100, 200, 400, 800)
+        sups = []
+        for n in ns:
+            rt = math.sqrt(n)
+            sups.append(max(
+                abs(rt * ac.jpd_complex(n, rt * s, (rt + d) ** 2)
+                    - ac.jpd_complex_edge(s, d))
+                for s, d in grid))
+        assert sups[0] > sups[1] > sups[2] > sups[3]
+        for n, sup in zip(ns, sups):
+            assert 0.25 <= math.sqrt(n) * sup <= 0.35, n
 
 
 class TestSensitivity:

@@ -15,7 +15,7 @@ from ginibre_overlaps import analytic_real as ar
 from ginibre_overlaps import detratio, mc_harness, specfun
 from ginibre_overlaps.ensemble import EnsembleSpec, sample_ginibre, sample_ginibre_batch
 from ginibre_overlaps.errors import DomainError, integer
-from ginibre_overlaps.quadrature import QuadSpec
+from ginibre_overlaps.quadrature import QuadSpec, integrate_semi_infinite
 
 _SPEC = EnsembleSpec(n=3, beta=2, seed=4)
 _WINDOW = mc_harness.Window(kind=mc_harness.ANNULUS, lo=0.0, hi=100.0)
@@ -145,6 +145,10 @@ _NON_FINITE = {
     "density_complex |z|^2": lambda v: ac.density_complex(4, v),
     "reg_gamma_q a": lambda v: specfun.reg_gamma_q(4, v),
     "log_reg_gamma_q a": lambda v: specfun.log_reg_gamma_q(4, np.array([0.5, v])),
+    "QuadSpec abs_tol": lambda v: QuadSpec(abs_tol=v),
+    "QuadSpec rel_tol": lambda v: QuadSpec(rel_tol=v),
+    "integrate_semi_infinite singular_exponent_at_zero":
+        lambda v: integrate_semi_infinite(lambda t: np.exp(-t), singular_exponent_at_zero=v),
 }
 
 

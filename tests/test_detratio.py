@@ -153,7 +153,7 @@ class TestAgainstReference:
         for case in self.GRID:
             q = _q(*case)
             assert detratio.detratio_closed(q) == pytest.approx(
-                _reference_closed(q), rel=1e-12), case
+                _reference_closed(q), rel=1e-12, abs=0), case
 
     def test_z0_matches_zero_reference(self):
         # at z = 0 the (2, 2) integrand has no bracket: the general row must match it
@@ -161,7 +161,7 @@ class TestAgainstReference:
             for p in (0.0, 0.1, 1.0, 5.0, 1e3, 1e5):
                 got = detratio.detratio_closed(_q(n, 2, 2, 0.0, p))
                 assert got == pytest.approx(
-                    _ref_closed_complex_l2_zero(n, p, DEFAULT_SPEC), rel=1e-12), (n, p)
+                    _ref_closed_complex_l2_zero(n, p, DEFAULT_SPEC), rel=1e-12, abs=0), (n, p)
 
 
 class TestQueryValidation:
@@ -333,7 +333,7 @@ class TestGramRoute:
                     continue
                 got = detratio.detratio_mc_sweep(n, beta, L, z, ps, 1000, seed=5)
                 for (m_ref, s_ref), (m, s) in zip(ref, got):
-                    assert m == pytest.approx(m_ref, rel=1e-12), (z, ps)
+                    assert m == pytest.approx(m_ref, rel=1e-12, abs=0), (z, ps)
                     # a per-sample change of a few ulps moves the stderr by
                     # about that much of the values, which is more than 1e-12
                     # of it where the values barely vary (n = 1, p = 1e-8)

@@ -52,4 +52,4 @@ def test_every_cache_is_a_clearable_module_attribute():
                 f"{path.name}: {name} has no cache_clear"
             found.add(f"{path.stem}.{name}")
     # the walk sees the caches the package is known to have
-    assert {"detratio._stream_moments", "analytic_complex._normalized_logs"} <= found
+    assert {"detratio._stream_moments", "analytic_complex._log_weights"} <= found

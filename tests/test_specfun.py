@@ -116,7 +116,8 @@ class TestRegGammaQ:
             got = specfun.log_reg_gamma_q(n, a)
             assert got.shape == a.shape
             for ai, gi in zip(a.ravel().tolist(), got.ravel().tolist()):
-                assert gi == pytest.approx(specfun.log_reg_gamma_q(n, ai), rel=1e-15), (n, ai)
+                assert gi == pytest.approx(specfun.log_reg_gamma_q(n, ai),
+                                           rel=1e-15, abs=0), (n, ai)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -146,9 +147,22 @@ class TestRegGammaQ:
                      lambda: analytic_complex.jpd_complex_edge(nan, 0.1),
                      lambda: analytic_complex.jpd_complex_edge(1.0, nan),
                      lambda: analytic_real.density_real_edge(nan),
-                     lambda: analytic_complex.density_complex_edge(nan)):
+                     lambda: analytic_complex.density_complex_edge(nan),
+                     lambda: specfun.erfcx(nan)):
             with pytest.raises(DomainError):
                 call()
+
+    def test_infinite_edge_argument(self):
+        # the edge laws take a finite sigma > 0 and a finite delta; erfcx
+        # keeps its limits at +-inf
+        from ginibre_overlaps import analytic_complex, analytic_real
+        inf = math.inf
+        for edge in (analytic_real.jpd_real_edge, analytic_complex.jpd_complex_edge):
+            for sigma, delta in ((inf, 0.0), (1.0, inf), (1.0, -inf)):
+                with pytest.raises(DomainError):
+                    edge(sigma, delta)
+        assert specfun.erfcx(inf) == 0.0
+        assert specfun.erfcx(-inf) == inf
 
 
 class TestLogLowerIntegral:
@@ -271,7 +285,7 @@ class TestErfFamily:
     def test_erfcx_consistency(self):
         for x in np.linspace(0.0, 8.0, 40):
             assert specfun.erfcx(float(x)) * math.exp(-x * x) == pytest.approx(
-                specfun.erfc(float(x)), rel=1e-12)
+                specfun.erfc(float(x)), rel=1e-12, abs=0)
 
     def test_scaled_erfc_decreasing(self):
         xs = np.linspace(0.0, 10.0, 200)
