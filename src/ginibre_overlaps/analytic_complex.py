@@ -270,10 +270,12 @@ def sensitivity_density(n: int, w_abs_sq: float, z_abs_sq: float,
     rho = density_complex(n, z_abs_sq)
     if rho == 0.0:   # underflowed, and the density with it
         return 0.0
+    log_pref, s, x, c = _tau_form(n, z_abs_sq)   # P(t, z) as jpd_complex forms it
 
     def integrand(t):
         om = 1.0 / (1.0 + t)
-        return n / math.pi * om * np.exp(-n * w2 * om) * jpd_complex(n, t, z_abs_sq) / rho
+        p = np.exp(log_pref + specfun.log_tau_form(s, x, c, t))
+        return n / math.pi * om * np.exp(-n * w2 * om) * p / rho
 
     val, _ = integrate_semi_infinite(integrand, spec)
     return val * rho

@@ -9,12 +9,13 @@ integer order, computed as log Q so that it stays finite where Q itself
 underflows (a past ~n + 700), accurate to ~1e-13 relative for n up to a few
 hundred; the log of the integrand itself at tau = t/(1+t), the form every
 overlap density takes (log_tau_form); and the scaled complementary error
-function erfcx.
+function erfcx.  The kernel's series loop does arithmetic, not bookkeeping:
+a block of terms for every element at once is a few passes over one
+contiguous array, whose runs of terms merge in pairs.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -36,44 +37,57 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-_BLOCK = 32
+#: series terms in each of the first two blocks, and half of every later one;
+#: a power of 2 (the block's runs of terms merge in pairs)
+_BLOCK = 16
 
 
 def log_lower_integral(s: float, x, T, c=(1.0,)):
     """log int_0^T tau^{s-1} e^{-x tau} sum_m c_m (1-tau)^m dtau, every c_m >= 0.
 
-    s > 0; x >= 0 (finite), 0 < T <= 1 and the leading axes of c (m runs
-    along its last axis) broadcast.  With tau = T u and
-    1 - tau = (1-T) + T(1-u) the integral is T^s sum_i w_i T^i J_i(xT), where
-    w_i = sum_{m>=i} c_m C(m,i) (1-T)^{m-i} and, by Kummer's transformation,
+    s > 0 finite; x >= 0 finite, 0 < T <= 1 and the leading axes of c (m
+    runs along its last axis: at least one weight, each finite) broadcast.
+    With tau = T u and 1 - tau = (1-T) + T(1-u) the integral is
+    T^s sum_i w_i T^i J_i(xT), where w_i = sum_{m>=i} c_m C(m,i) (1-T)^{m-i}
+    (by Horner's rule, a Taylor shift of sum_m c_m w^m to w = 1-T) and, by
+    Kummer's transformation,
     J_i(y) = int_0^1 u^{s-1} (1-u)^i e^{-yu} du = B(s,i+1) e^{-y} M(i+1, s+i+1, y).
-    Every term of every M is positive.  The series run together as running
-    products in blocks of _BLOCK terms, rescaled between blocks so that none
-    overflows; an element leaves once each of its tails past the peak (below
-    a geometric series, as the term ratios y (i+k)/((s+i+k) k) decrease in k)
-    is under 1e-17 of its sum, so every element gets the value it has on its
-    own.  The elements (the broadcast of x, T and c's leading axes) are taken
-    in groups whose (elements x weights x _BLOCK) temporaries fit in
-    ensemble.BATCH_BYTES, so memory does not grow with their number.
+    Every term of every M is positive.  The series of all elements run
+    together in blocks, two of _BLOCK terms and then 2 _BLOCK each: a block's
+    term ratios fill one (terms, weights, elements) array, in which adjacent
+    runs of terms merge in pairs, a level at a time and in place, into their
+    sum of running products and their product, so a block costs a few passes
+    over contiguous rows and about 2 log2(block) numpy calls.  Between blocks an
+    element whose last term passed 1 is rescaled, its scale kept in log
+    space, so that none overflows; an element leaves once each of its tails
+    past the block (below a geometric series, as the term ratios
+    y (i+k)/((s+i+k) k) decrease in k) is under 1e-17 of its sum.  The block
+    bounds are the same for every element, so each gets the value it has on
+    its own, bit for bit.  The elements (the broadcast of x, T and c's
+    leading axes) are taken in groups whose block array, 2 _BLOCK floats per
+    weight and element, fits in ensemble.BATCH_BYTES, so memory does not
+    grow with their number.
     """
     x = np.asarray(x, dtype=float)
     T = np.asarray(T, dtype=float)
     c = np.asarray(c, dtype=float)
-    if not (s > 0.0 and (c >= 0.0).all() and ((0.0 <= x) & (x < np.inf)).all()
-            and ((0.0 < T) & (T <= 1.0)).all()):
-        raise DomainError(f"log_lower_integral needs s > 0, c >= 0, finite x >= 0 "
-                          f"and 0 < T <= 1 (s = {s})")
+    if not (0.0 < s < math.inf and c.ndim and c.shape[-1]
+            and ((0.0 <= c) & (c < np.inf)).all() and ((0.0 <= x) & (x < np.inf)).all()
+            and ((0.0 < T) & (T <= 1.0)).all()):   # also rejects NaN
+        raise DomainError(f"log_lower_integral needs finite s > 0, finite x >= 0, "
+                          f"0 < T <= 1 and a nonempty finite c >= 0 (s = {s})")
     elements = np.broadcast(x, T, c[..., 0])
-    group = max(1, ensemble.BATCH_BYTES // (8 * c.shape[-1] * _BLOCK))
+    group = max(1, ensemble.BATCH_BYTES // (16 * c.shape[-1] * _BLOCK))
+    work = np.empty(2 * _BLOCK * c.shape[-1] * min(group, elements.size))
     if elements.size <= group:
-        out = _log_lower_group(s, x, T, c)
+        out = _log_lower_group(s, x, T, c, work)
     else:
         out = np.empty(elements.shape)
         # each operand is cut along its own axes only, so the factors of T
         # alone are still computed once per T, not once per element
         for at in _row_groups(out.shape, group):
             out[at] = _log_lower_group(s, *(_rows(v, at, out.ndim + tail)
-                                            for v, tail in ((x, 0), (T, 0), (c, 1))))
+                                            for v, tail in ((x, 0), (T, 0), (c, 1))), work)
     return float(out) if out.ndim == 0 else out
 
 
@@ -102,47 +116,84 @@ def _rows(v: np.ndarray, at, ndim: int) -> np.ndarray:
                    for d, a in enumerate(at) if d >= pad)]
 
 
-@functools.lru_cache(maxsize=16)
-def _binomials(k: int) -> np.ndarray:
-    """C(m, q) at row q and column m, 0 <= q, m < k; read-only, as every call shares it."""
-    binom = np.array([[math.comb(m, q) for m in range(k)] for q in range(k)])
-    binom.flags.writeable = False
-    return binom
-
-
-def _log_lower_group(s: float, x, T, c) -> np.ndarray:
-    """log_lower_integral over the broadcast of x, T and c's leading axes, at once."""
-    i = np.arange(c.shape[-1])
-    j = np.arange(1, _BLOCK + 1)
+def _log_lower_group(s: float, x, T, c, work: np.ndarray) -> np.ndarray:
+    """log_lower_integral over the broadcast of x, T and c's leading axes, at
+    once; work holds at least 2 _BLOCK floats per weight and element."""
+    n_w = c.shape[-1]
+    i = np.arange(n_w)
     y = x * T
-    total = np.ones((y.size, i.size))   # M(i+1, s+i+1, xT) in units of e^{log_scale}
+    total = np.empty((n_w, y.size))   # M(i+1, s+i+1, y) in units of e^{log_scale}
     log_scale = np.zeros(y.size)
-    live = np.arange(y.size)             # the elements whose series still run
-    last = total
-    k = 0
-    while live.size:
-        yl = y.reshape(-1)[live, None]
-        ik = i[:, None] + k + j
-        run = last[..., None] * np.cumprod(yl[..., None] / (s + ik) * (ik / (k + j)), axis=-1)
-        sums = total[live] + run.sum(axis=-1)
-        last = run[..., -1]
-        k += _BLOCK
-        r = yl / (s + i + k + 1) * ((i + k + 1) / (k + 1))   # next ratios; later ones are smaller
-        done = ((r < 1.0) & (last * r <= 1e-17 * (1.0 - r) * sums)).all(axis=-1)
-        total[live[done]] = sums[done]
-        live, sums, last = live[~done], sums[~done], last[~done]
-        scale = np.maximum(last.max(axis=-1, keepdims=True), 1.0)
-        total[live] = sums / scale
-        last = last / scale
-        log_scale[live] += np.log(scale[:, 0])
-    total = total.reshape(y.shape + i.shape)
-    log_scale = log_scale.reshape(y.shape)
-    # the docstring's w_i, times T^i and B(s, i+1) = i!/(s (s+1) ... (s+i))
-    binom = _binomials(i.size) * c[..., None, :]
-    w = (binom * (1.0 - T)[..., None, None] ** np.maximum(i - i[:, None], 0)).sum(axis=-1)
-    weighted = w * T[..., None] ** i * np.cumprod(np.maximum(i, 1) / (s + i)) * total
+    live = np.arange(y.size)          # the elements whose series still run
+    yl = y.reshape(-1)                # and their y
+    sums, last = np.ones((2, n_w, y.size))   # weights down, elements along
+    k = 0                             # terms summed so far
+    while True:
+        # most series end within two short blocks; longer ones go on in
+        # blocks twice as long, which halves the fixed cost per term
+        n = _BLOCK if k < 2 * _BLOCK else 2 * _BLOCK
+        # the block's term ratios y (i+k)/((s+i+k) k), and the next one; a run
+        # of terms stands as (sum of running products, product): two terms
+        # a, b give (a + ab, ab), and adjacent runs then merge a level at a
+        # time, (Sl, Pl) then (Sr, Pr) giving (Sl + Pl Sr, Pl Pr)
+        kj = np.arange(k + 1.0, k + n + 2.0)[:, None]
+        ikj = kj + i
+        ratio = (ikj / ((s + ikj) * kj))[:, :, None]
+        terms = work[:n * n_w * yl.size].reshape(n, n_w, yl.size)
+        np.multiply(ratio[:-1], yl, out=terms)
+        terms[0] *= last
+        runs = terms.reshape(n // 2, 2, n_w, yl.size)
+        runs[:, 1] *= runs[:, 0]
+        runs[:, 0] += runs[:, 1]
+        while len(runs) > 1:
+            left, runs = runs[0::2], runs[1::2]
+            runs *= left[:, 1:]
+            runs[:, 0] += left[:, 0]
+        sums += runs[0, 0]
+        last[...] = runs[0, 1]
+        k += n
+        # for r < 1 the tail past the block is below last r/(1 - r), as the
+        # ratios fall with k; an element is done once that is under 1e-17 of
+        # its sum for every weight: last r <= tol (1 - r), which r >= 1 fails
+        r = ratio[-1] * yl
+        tol = 1e-17 * sums
+        done, *rest = r * (last + tol) <= tol
+        for row in rest:
+            done &= row
+        n_done = np.count_nonzero(done)
+        if n_done == done.size:   # every series has ended, or there were none
+            for row, part in zip(total, sums):
+                row[live] = part
+            break
+        if n_done:
+            at = live[done]
+            for row, part in zip(total, np.compress(done, sums, axis=1)):
+                row[at] = part
+            keep = ~done
+            live, yl = live[keep], yl[keep]
+            sums, last = np.compress(keep, sums, axis=1), np.compress(keep, last, axis=1)
+        if np.count_nonzero(last > 1.0):   # else every scale is 1, which changes no bit
+            scale = np.maximum(last.max(axis=0), 1.0)
+            sums = sums / scale
+            last = last / scale
+            log_scale[live] += np.log(scale)
+    # w_i of the docstring (a Taylor shift of sum_m c_m w^m to 1 - T, by
+    # Horner's rule, all terms >= 0), then sum_i w_i T^i B(s, i+1) M_i by
+    # Horner's rule in T, with B(s, i+1) = i!/(s (s+1) ... (s+i))
+    om = 1.0 - T
+    w = [c[..., m] for m in range(n_w)]
+    for lo in range(n_w - 1):
+        for m in range(n_w - 2, lo - 1, -1):
+            w[m] = w[m] + om * w[m + 1]
+    beta = [1.0 / s]
+    for m in range(1, n_w):
+        beta.append(beta[-1] * m / (s + m))
+    total = total.reshape((n_w,) + y.shape)
+    acc = 0.0
+    for m in range(n_w - 1, -1, -1):
+        acc = acc * T + w[m] * beta[m] * total[m]
     with np.errstate(divide="ignore"):
-        return s * np.log(T) - y + log_scale + np.log(weighted.sum(axis=-1))
+        return s * np.log(T) - y + log_scale.reshape(y.shape) + np.log(acc)
 
 
 def log_reg_gamma_q(n: int, a):
@@ -158,12 +209,13 @@ def log_reg_gamma_q(n: int, a):
         raise DomainError(f"reg_gamma_q requires finite a >= 0, got {a}")
     out = np.empty(a.shape)
     up = a > n
-    if up.any():
+    n_up = np.count_nonzero(up)
+    if n_up:
         au = a[up]
         # a^{k-1}/(k-1)! relative to the k = n-1 term, for k = n-1 .. 1
         rest = np.cumprod(np.arange(n - 1, 0, -1) / au[:, None], axis=-1).sum(axis=-1)
         out[up] = -au + (n - 1) * np.log(au) - math.lgamma(n) + np.log1p(rest)
-    if not up.all():
+    if n_up < up.size:
         al = a[~up]
         with np.errstate(divide="ignore"):
             log_p = n * np.log(al) - math.lgamma(n) + log_lower_integral(n, al, 1.0)

@@ -43,14 +43,14 @@ class TestCoeffs:
         for n in (2, 5, 9, 16):
             d1, _, big1, _ = ac.coeffs(n, 0.0).unscaled()
             ref = math.factorial(n - 1) * math.factorial(n - 2)
-            assert d1 == pytest.approx(ref, rel=1e-12)
-            assert big1 == pytest.approx(n * (n - 1) * ref, rel=1e-12)
+            assert d1 == pytest.approx(ref, rel=1e-12, abs=0)
+            assert big1 == pytest.approx(n * (n - 1) * ref, rel=1e-12, abs=0)
 
     def test_n2_d1_is_pure_exponential(self):
         # at n = 2 the gamma products collapse: d1 = e^{-2a} exactly
         for a in (0.0, 0.7, 3.0, 41.5):
             b = ac.coeffs(2, a)
-            assert b.d1 * math.exp(b.log_scale + 2.0 * a) == pytest.approx(1.0, rel=1e-12)
+            assert b.d1 * math.exp(b.log_scale + 2.0 * a) == pytest.approx(1.0, rel=1e-12, abs=0)
 
     def test_against_gamma_products_moderate(self):
         # direct Gamma-product evaluation is accurate while cancellation is
@@ -61,8 +61,8 @@ class TestCoeffs:
             d2_ref = g[0] * g[3] - g[1] * g[2]
             b = ac.coeffs(n, a)
             scale = math.exp(b.log_scale)
-            assert b.d1 * scale == pytest.approx(d1_ref, rel=1e-10)
-            assert b.d2 * scale == pytest.approx(d2_ref, rel=1e-10)
+            assert b.d1 * scale == pytest.approx(d1_ref, rel=1e-10, abs=0)
+            assert b.d2 * scale == pytest.approx(d2_ref, rel=1e-10, abs=0)
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(min_value=2, max_value=60),
@@ -123,7 +123,7 @@ class TestWeights:
 
 class TestJpdComplex:
     def test_z0_point(self):
-        assert ac.jpd_complex(2, 1.0, 0.0) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-13)
+        assert ac.jpd_complex(2, 1.0, 0.0) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-13, abs=0)
 
     def test_z0_collapse(self):
         tgrid = np.geomspace(1e-3, 1e4, 29)
@@ -133,14 +133,14 @@ class TestJpdComplex:
             assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(b, 1e-300))
 
     def test_normalization(self):
-        assert _normalize(3, 1.0) == pytest.approx(RHO_3_Z1, rel=1e-7)
+        assert _normalize(3, 1.0) == pytest.approx(RHO_3_Z1, rel=1e-7, abs=0)
         for n, a in ((2, 0.0), (5, 2.5), (8, 7.2)):
-            assert _normalize(n, a) == pytest.approx(ac.density_complex(n, a), rel=1e-6)
+            assert _normalize(n, a) == pytest.approx(ac.density_complex(n, a), rel=1e-6, abs=0)
 
     def test_cubic_tail(self):
         for n, a in ((5, 0.0), (9, 4.0)):
             ratio = ac.jpd_complex(n, 2e6, a) / ac.jpd_complex(n, 1e6, a)
-            assert ratio == pytest.approx(0.125, rel=1e-2)
+            assert ratio == pytest.approx(0.125, rel=1e-2, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -157,7 +157,7 @@ class TestJpdComplex:
             lambda t: ac.jpd_complex(150, t, 150.0),
             QuadSpec(abs_tol=1e-16, rel_tol=1e-9, max_subdivisions=4000))
         rho = ac.density_complex(150, 150.0)
-        assert val == pytest.approx(rho, rel=1e-9)
+        assert val == pytest.approx(rho, rel=1e-9, abs=0)
 
     def test_extreme_t_is_clean_zero(self):
         assert ac.jpd_complex(5, 1e300, 2.0) == 0.0
@@ -271,28 +271,29 @@ class TestCumulative:
 
 class TestJpdComplexZero:
     def test_point(self):
-        assert ac.jpd_complex_zero(2, 1.0) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-14)
+        assert ac.jpd_complex_zero(2, 1.0) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-14, abs=0)
 
     def test_small_t_limit_n2(self):
-        assert ac.jpd_complex_zero(2, 1e-12) == pytest.approx(2.0 / math.pi, rel=1e-9)
+        assert ac.jpd_complex_zero(2, 1e-12) == pytest.approx(2.0 / math.pi, rel=1e-9, abs=0)
 
     def test_t_integral_is_density_at_origin(self):
         for n in (2, 5, 11):
             val, _ = integrate_semi_infinite(lambda t: ac.jpd_complex_zero(n, t))
-            assert val == pytest.approx(1.0 / math.pi, rel=1e-9)
+            assert val == pytest.approx(1.0 / math.pi, rel=1e-9, abs=0)
 
 
 class TestDensityComplex:
     def test_origin(self):
         for n in (1, 4, 25):
-            assert ac.density_complex(n, 0.0) == pytest.approx(1.0 / math.pi, rel=1e-14)
+            assert ac.density_complex(n, 0.0) == pytest.approx(1.0 / math.pi, rel=1e-14, abs=0)
 
     def test_n1(self):
-        assert ac.density_complex(1, 1.0) == pytest.approx(math.exp(-1.0) / math.pi, rel=1e-13)
+        assert ac.density_complex(1, 1.0) == pytest.approx(math.exp(-1.0) / math.pi,
+                                                           rel=1e-13, abs=0)
 
     def test_outside_disc(self):
         assert ac.density_complex(10, 25.0) == pytest.approx(
-            specfun.reg_gamma_q(10, 25.0) / math.pi, rel=1e-13)
+            specfun.reg_gamma_q(10, 25.0) / math.pi, rel=1e-13, abs=0)
         assert ac.density_complex(10, 25.0) < 1e-4
 
     def test_domain(self):
@@ -303,7 +304,7 @@ class TestDensityComplex:
 class TestBulk:
     def test_point(self):
         assert ac.jpd_complex_bulk(1.0, 0.0) == pytest.approx(
-            math.exp(-1.0) / math.pi, rel=1e-13)
+            math.exp(-1.0) / math.pi, rel=1e-13, abs=0)
 
     def test_support(self):
         assert ac.jpd_complex_bulk(1.0, 1.1) == 0.0
@@ -313,7 +314,7 @@ class TestBulk:
         # int s P ds = (1 - |w|^2)/pi
         for w in (0.0, 0.5, 0.8):
             val, _ = integrate_semi_infinite(lambda s: s * ac.jpd_complex_bulk(s, w))
-            assert val == pytest.approx((1.0 - w * w) / math.pi, rel=1e-8)
+            assert val == pytest.approx((1.0 - w * w) / math.pi, rel=1e-8, abs=0)
 
     def test_finite_n_convergence_monotone(self):
         grid = [(s, w) for s in (0.5, 1.0, 2.0) for w in (0.0, 0.5)]
@@ -327,9 +328,9 @@ class TestBulk:
 
 class TestEdge:
     def test_frozen_points(self):
-        assert ac.jpd_complex_edge(1.0, 0.0) == pytest.approx(EDGE_1_0, rel=1e-12)
-        assert ac.jpd_complex_edge(0.7, -0.8) == pytest.approx(EDGE_07_M08, rel=1e-12)
-        assert ac.jpd_complex_edge(1.5, 1.2) == pytest.approx(EDGE_15_12, rel=1e-11)
+        assert ac.jpd_complex_edge(1.0, 0.0) == pytest.approx(EDGE_1_0, rel=1e-12, abs=0)
+        assert ac.jpd_complex_edge(0.7, -0.8) == pytest.approx(EDGE_07_M08, rel=1e-12, abs=0)
+        assert ac.jpd_complex_edge(1.5, 1.2) == pytest.approx(EDGE_15_12, rel=1e-11, abs=0)
 
     def test_large_delta_vanishes(self):
         assert ac.jpd_complex_edge(1.0, 30.0) == 0.0
@@ -337,13 +338,14 @@ class TestEdge:
     def test_sigma_integral_matches_edge_density(self):
         for delta in (0.0, -0.6, 0.8):
             val, _ = integrate_semi_infinite(lambda s: ac.jpd_complex_edge(s, delta))
-            assert val == pytest.approx(ac.density_complex_edge(delta), rel=1e-8)
+            assert val == pytest.approx(ac.density_complex_edge(delta), rel=1e-8, abs=0)
 
     def test_edge_density(self):
-        assert ac.density_complex_edge(0.0) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-14)
-        assert ac.density_complex_edge(-30.0) == pytest.approx(1.0 / math.pi, rel=1e-12)
+        assert ac.density_complex_edge(0.0) == pytest.approx(1.0 / (2.0 * math.pi),
+                                                             rel=1e-14, abs=0)
+        assert ac.density_complex_edge(-30.0) == pytest.approx(1.0 / math.pi, rel=1e-12, abs=0)
         assert ac.density_complex_edge(1.0) == pytest.approx(
-            specfun.erfc(math.sqrt(2.0)) / (2.0 * math.pi), rel=1e-13)
+            specfun.erfc(math.sqrt(2.0)) / (2.0 * math.pi), rel=1e-13, abs=0)
 
     def test_bulk_edge_matching_monotone(self):
         # substituting sigma = sqrt(N) s, delta = sqrt(N)(|w|^2-1)/2 into the
@@ -391,10 +393,10 @@ class TestEdge:
 class TestSensitivity:
     def test_beta_integral_oracle(self):
         # N=2, w=0, z=0: 4/(3 pi^2) via the exact Beta integral
-        assert ac.sensitivity_density(2, 0.0, 0.0) == pytest.approx(SENS_2_00, rel=1e-9)
+        assert ac.sensitivity_density(2, 0.0, 0.0) == pytest.approx(SENS_2_00, rel=1e-9, abs=0)
 
     def test_frozen_point(self):
-        assert ac.sensitivity_density(2, 0.09, 0.0) == pytest.approx(SENS_2_W03, rel=1e-9)
+        assert ac.sensitivity_density(2, 0.09, 0.0) == pytest.approx(SENS_2_W03, rel=1e-9, abs=0)
 
     def test_against_tau_form(self):
         # (n/pi^2) e^{top+x} [g1 J_2 + g2 J_3 + g3 J_4], x = |z|^2 - n|w|^2,
@@ -423,4 +425,4 @@ class TestSensitivity:
                              for wi in np.atleast_1d(w)])
 
         val, _ = integrate_semi_infinite(radial, QuadSpec(1e-12, 1e-7, 800))
-        assert val == pytest.approx(ac.density_complex(n, a), rel=1e-6)
+        assert val == pytest.approx(ac.density_complex(n, a), rel=1e-6, abs=0)

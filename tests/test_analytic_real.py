@@ -36,9 +36,9 @@ def _normalize(n, lam, rel=1e-10):
 
 class TestJpdReal:
     def test_frozen_points(self):
-        assert ar.jpd_real(2, 1.0, 0.0) == pytest.approx(JPD_2_1_0, rel=1e-13)
-        assert ar.jpd_real(3, 1.0, 0.0) == pytest.approx(JPD_3_1_0, rel=1e-13)
-        assert ar.jpd_real(5, 0.7, 1.3) == pytest.approx(JPD_5_07_13, rel=1e-13)
+        assert ar.jpd_real(2, 1.0, 0.0) == pytest.approx(JPD_2_1_0, rel=1e-13, abs=0)
+        assert ar.jpd_real(3, 1.0, 0.0) == pytest.approx(JPD_3_1_0, rel=1e-13, abs=0)
+        assert ar.jpd_real(5, 0.7, 1.3) == pytest.approx(JPD_5_07_13, rel=1e-13, abs=0)
 
     def test_forms_agree(self):
         # the tau-form against the gamma form at 40 digits
@@ -49,13 +49,13 @@ class TestJpdReal:
                 lam = float(rng.uniform(-1.2, 1.2) * math.sqrt(n))
                 a = ar.jpd_real(n, t, lam)
                 b = float(jpd_real_gamma(n, t, lam))
-                assert a == pytest.approx(b, rel=1e-12)
+                assert a == pytest.approx(b, rel=1e-12, abs=0)
 
     def test_vectorized(self):
         t = np.geomspace(1e-2, 1e2, 17)
         out = ar.jpd_real(4, t, 0.7)
         assert out.shape == t.shape
-        assert out[3] == pytest.approx(ar.jpd_real(4, float(t[3]), 0.7), rel=1e-15)
+        assert out[3] == pytest.approx(ar.jpd_real(4, float(t[3]), 0.7), rel=1e-15, abs=0)
 
     def test_array_t_matches_scalar_loop(self):
         # array and scalar numpy exp/log may differ in the last bit
@@ -71,13 +71,13 @@ class TestJpdReal:
 
     def test_normalization_to_density(self):
         for n, lam in ((2, 0.0), (3, 1.0), (6, 1.5)):
-            assert _normalize(n, lam) == pytest.approx(ar.density_real(n, lam), rel=1e-8)
+            assert _normalize(n, lam) == pytest.approx(ar.density_real(n, lam), rel=1e-8, abs=0)
 
     def test_heavy_tail_exponent(self):
         # P ~ t^{-2}: doubling t quarters the density within 1% at t = 1e6
         for n, lam in ((4, 0.0), (7, 1.2)):
             ratio = ar.jpd_real(n, 2e6, lam) / ar.jpd_real(n, 1e6, lam)
-            assert ratio == pytest.approx(0.25, rel=1e-2)
+            assert ratio == pytest.approx(0.25, rel=1e-2, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -95,7 +95,7 @@ class TestJpdReal:
         val, _ = integrate_semi_infinite(
             lambda t: ar.jpd_real(n, t, lam),
             QuadSpec(abs_tol=1e-16, rel_tol=1e-11, max_subdivisions=4000))
-        assert val == pytest.approx(ar.density_real(n, lam), rel=1e-9)
+        assert val == pytest.approx(ar.density_real(n, lam), rel=1e-9, abs=0)
 
     def test_extreme_t_is_clean(self):
         assert ar.jpd_real(5, 1e300, 1.0) == 0.0
@@ -104,7 +104,7 @@ class TestJpdReal:
     def test_forms_agree_large_n(self):
         for lam in (0.0, 0.9 * math.sqrt(80.0)):
             g = float(jpd_real_gamma(80, 80.0, lam))
-            assert ar.jpd_real(80, 80.0, lam) == pytest.approx(g, rel=1e-12)
+            assert ar.jpd_real(80, 80.0, lam) == pytest.approx(g, rel=1e-12, abs=0)
 
     def test_gamma_form_past_the_edge(self):
         # lambda^2 = 784 > n + 700: Q_n(lambda^2) underflows, the density does
@@ -131,11 +131,11 @@ class TestJpdReal:
 class TestDensityReal:
     def test_at_origin(self):
         for n in (2, 3, 10, 40):
-            assert ar.density_real(n, 0.0) == pytest.approx(1.0 / SQRT_2PI, rel=1e-14)
+            assert ar.density_real(n, 0.0) == pytest.approx(1.0 / SQRT_2PI, rel=1e-14, abs=0)
 
     def test_frozen(self):
-        assert ar.density_real(2, 1.0) == pytest.approx(RHO_2_1, rel=1e-12)
-        assert ar.density_real(6, 1.5) == pytest.approx(RHO_6_15, rel=1e-12)
+        assert ar.density_real(2, 1.0) == pytest.approx(RHO_2_1, rel=1e-12, abs=0)
+        assert ar.density_real(6, 1.5) == pytest.approx(RHO_6_15, rel=1e-12, abs=0)
 
     def test_even(self):
         assert ar.density_real(5, 1.3) == ar.density_real(5, -1.3)
@@ -143,7 +143,7 @@ class TestDensityReal:
     def test_expected_number_real_eigenvalues_n2(self):
         # int rho_2 = sqrt(2); density decays like e^{-lam^2/2} outside [-10, 10]
         val, _ = integrate_finite(lambda x: ar.density_real(2, x), -10.0, 10.0)
-        assert val == pytest.approx(math.sqrt(2.0), rel=1e-8)
+        assert val == pytest.approx(math.sqrt(2.0), rel=1e-8, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -248,7 +248,7 @@ class TestCumulative:
 
 class TestBulk:
     def test_point(self):
-        assert ar.jpd_real_bulk(1.0, 0.0) == pytest.approx(BULK_1_0, rel=1e-13)
+        assert ar.jpd_real_bulk(1.0, 0.0) == pytest.approx(BULK_1_0, rel=1e-13, abs=0)
 
     def test_support(self):
         assert ar.jpd_real_bulk(1.0, 1.5) == 0.0
@@ -258,7 +258,7 @@ class TestBulk:
     def test_s_integral_is_bulk_density(self):
         for x in (0.0, 0.5, 0.9):
             val, _ = integrate_semi_infinite(lambda s: ar.jpd_real_bulk(s, x))
-            assert val == pytest.approx(1.0 / SQRT_2PI, rel=1e-9)
+            assert val == pytest.approx(1.0 / SQRT_2PI, rel=1e-9, abs=0)
 
     def test_finite_n_convergence_monotone(self):
         grid = [(s, x) for s in (0.5, 1.0, 2.0) for x in (0.0, 0.5, 0.9)]
@@ -276,9 +276,9 @@ class TestBulk:
 
 class TestEdge:
     def test_frozen_points(self):
-        assert ar.jpd_real_edge(1.0, 0.0) == pytest.approx(EDGE_1_0, rel=1e-12)
-        assert ar.jpd_real_edge(0.8, -0.6) == pytest.approx(EDGE_08_M06, rel=1e-12)
-        assert ar.jpd_real_edge(1.2, 0.9) == pytest.approx(EDGE_12_09, rel=1e-12)
+        assert ar.jpd_real_edge(1.0, 0.0) == pytest.approx(EDGE_1_0, rel=1e-12, abs=0)
+        assert ar.jpd_real_edge(0.8, -0.6) == pytest.approx(EDGE_08_M06, rel=1e-12, abs=0)
+        assert ar.jpd_real_edge(1.2, 0.9) == pytest.approx(EDGE_12_09, rel=1e-12, abs=0)
 
     def test_large_sigma_vanishes(self):
         assert ar.jpd_real_edge(1e8, 0.3) < 1e-14
@@ -286,13 +286,13 @@ class TestEdge:
     def test_sigma_integral_matches_edge_density(self):
         for delta in (0.0, -0.7, 0.5):
             val, _ = integrate_semi_infinite(lambda s: ar.jpd_real_edge(s, delta))
-            assert val == pytest.approx(ar.density_real_edge(delta), rel=1e-8)
+            assert val == pytest.approx(ar.density_real_edge(delta), rel=1e-8, abs=0)
 
     def test_edge_density_values(self):
-        assert ar.density_real_edge(0.0) == pytest.approx(RHO_EDGE_0, rel=1e-13)
+        assert ar.density_real_edge(0.0) == pytest.approx(RHO_EDGE_0, rel=1e-13, abs=0)
         assert ar.density_real_edge(40.0) < 1e-300
         # delta -> -inf recovers the bulk density: the edge matches the bulk
-        assert ar.density_real_edge(-30.0) == pytest.approx(1.0 / SQRT_2PI, rel=1e-12)
+        assert ar.density_real_edge(-30.0) == pytest.approx(1.0 / SQRT_2PI, rel=1e-12, abs=0)
 
     def test_finite_n_convergence_monotone(self):
         grid = [(s, d) for s in (0.5, 1.0, 2.0) for d in (-0.5, 0.0, 0.5)]

@@ -218,9 +218,9 @@ class TestQueryValidation:
 class TestScalarOracle:
     def test_n1_against_gaussian_quadrature(self):
         assert detratio.detratio_closed(_q(1, 1, 2, 0.0, 1.0)) == pytest.approx(
-            SCALAR_N1_P1_LAM0, rel=1e-9)
+            SCALAR_N1_P1_LAM0, rel=1e-9, abs=0)
         assert detratio.detratio_closed(_q(1, 1, 2, 0.5, 1.0)) == pytest.approx(
-            SCALAR_N1_P1_LAM05, rel=1e-9)
+            SCALAR_N1_P1_LAM05, rel=1e-9, abs=0)
 
     def test_n1_in_test_quadrature(self):
         # independent route: direct Gaussian expectation
@@ -231,7 +231,7 @@ class TestScalarOracle:
                 * np.exp(-0.5 * g * g) / math.sqrt(2 * math.pi)
 
         val, _ = integrate_finite(f, -12.0, 12.0)
-        assert val == pytest.approx(SCALAR_N1_P1_LAM05, rel=1e-10)
+        assert val == pytest.approx(SCALAR_N1_P1_LAM05, rel=1e-10, abs=0)
 
 
 class TestClosedVsMc:
@@ -246,7 +246,7 @@ class TestClosedVsMc:
     def test_sweep_shares_stream(self):
         res = detratio.detratio_mc_sweep(3, 2, 1, 0.5, [0.5, 2.0], 20_000, seed=3)
         single = detratio.detratio_mc(_q(3, 2, 1, 0.5, 2.0), 20_000, seed=3)
-        assert res[1][0] == pytest.approx(single[0], rel=1e-12)
+        assert res[1][0] == pytest.approx(single[0], rel=1e-12, abs=0)
 
     def test_huge_values_finite_stderr(self):
         # |z|^{2 L n} ~ 1e192: the squares of the values overflow unless shifted
@@ -262,8 +262,8 @@ class TestClosedVsMc:
         one = detratio.detratio_mc_sweep(*args, seed=3)
         two = detratio.detratio_mc_sweep(*args, seed=3, chunk=1700)
         for (m1, s1), (m2, s2) in zip(one, two):
-            assert m2 == pytest.approx(m1, rel=1e-12)
-            assert s2 == pytest.approx(s1, rel=1e-12)
+            assert m2 == pytest.approx(m1, rel=1e-12, abs=0)
+            assert s2 == pytest.approx(s1, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -538,13 +538,13 @@ class TestIdentities:
         # denominator dominates: p^n D -> 1
         for n in (2, 3):
             q = _q(n, 2, 0, 0.8, 1e5)
-            assert detratio.detratio_closed(q) * 1e5**n == pytest.approx(1.0, rel=1e-3)
+            assert detratio.detratio_closed(q) * 1e5**n == pytest.approx(1.0, rel=1e-3, abs=0)
 
     def test_eks_value_matches_p0_quadrature(self):
         for n, lam in ((3, 0.0), (4, 0.7), (6, 1.5), (6, 28.0), (10, 40.0)):
             via_integral = detratio.detratio_closed(_q(n, 1, 2, lam, 0.0))
             assert detratio.detratio_real_l2_p0(n, lam) == pytest.approx(
-                via_integral, rel=1e-8)
+                via_integral, rel=1e-8, abs=0)
 
     def test_large_p_recovers_mean_det_sq(self):
         n, lam = 3, 0.8
@@ -561,9 +561,9 @@ class TestIdentities:
 
 class TestMeanDetSq:
     def test_hand_values(self):
-        assert detratio.mean_det_sq_real(2, 0.0) == pytest.approx(2.0, rel=1e-13)
-        assert detratio.mean_det_sq_real(3, 0.0) == pytest.approx(6.0, rel=1e-13)
-        assert detratio.mean_det_sq_real(2, 1.0) == pytest.approx(5.0, rel=1e-13)
+        assert detratio.mean_det_sq_real(2, 0.0) == pytest.approx(2.0, rel=1e-13, abs=0)
+        assert detratio.mean_det_sq_real(3, 0.0) == pytest.approx(6.0, rel=1e-13, abs=0)
+        assert detratio.mean_det_sq_real(2, 1.0) == pytest.approx(5.0, rel=1e-13, abs=0)
 
     def test_against_mc(self):
         n, lam, n_samp = 2, 1.0, 200_000
@@ -583,7 +583,7 @@ class TestLaplaceBridges:
         norm = 2.0 ** (n / 2.0) * math.exp(specfun.log_gamma(n / 2.0))
         rhs = math.exp(-0.5 * lam * lam) / norm * detratio.detratio_closed(
             _q(n - 1, 1, 2, lam, p))
-        assert lhs == pytest.approx(rhs, rel=1e-8)
+        assert lhs == pytest.approx(rhs, rel=1e-8, abs=0)
 
     def test_complex_bridge_spot(self):
         n, az, p = 4, 1.0, 1.0
@@ -593,4 +593,4 @@ class TestLaplaceBridges:
             QuadSpec(1e-14, 1e-11, 4000))
         rhs = math.exp(-a) / (math.pi * math.factorial(n - 1)) \
             * detratio.detratio_closed(_q(n - 1, 2, 2, az, p))
-        assert lhs == pytest.approx(rhs, rel=1e-6)
+        assert lhs == pytest.approx(rhs, rel=1e-6, abs=0)

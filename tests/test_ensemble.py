@@ -109,12 +109,12 @@ class TestSampling:
         entries = ens.sample_ginibre_batch(spec, 0, 1000).ravel()
         assert entries.size == 100_000
         assert abs(entries.mean()) < 3.0 * 10**-2.5
-        assert entries.var() == pytest.approx(1.0, rel=0.02)
+        assert entries.var() == pytest.approx(1.0, rel=0.02, abs=0)
 
     def test_complex_entry_law(self):
         spec = ens.EnsembleSpec(n=10, beta=2, seed=2)
         entries = ens.sample_ginibre_batch(spec, 0, 500).ravel()
-        assert (np.abs(entries) ** 2).mean() == pytest.approx(1.0, rel=0.02)
+        assert (np.abs(entries) ** 2).mean() == pytest.approx(1.0, rel=0.02, abs=0)
         assert abs(entries.real.mean()) < 0.01 and abs(entries.imag.mean()) < 0.01
 
     def test_validation(self):
@@ -150,8 +150,8 @@ class TestBiorthogonalOverlaps:
         samples = overlaps_biorthogonal(g)
         by_eig = {round(s.eigenvalue.real, 6): s.t for s in samples}
         expected = w**2 / (lam - mu) ** 2
-        assert by_eig[1.3] == pytest.approx(expected, rel=1e-10)
-        assert by_eig[-0.4] == pytest.approx(expected, rel=1e-10)
+        assert by_eig[1.3] == pytest.approx(expected, rel=1e-10, abs=0)
+        assert by_eig[-0.4] == pytest.approx(expected, rel=1e-10, abs=0)
 
     def test_normal_matrix_zero_overlap(self):
         rng = np.random.default_rng(3)
@@ -188,7 +188,7 @@ class TestBiorthogonalOverlaps:
                     (q for q in cplx if q is not s and id(q) not in used),
                     key=lambda q: abs(q.eigenvalue - s.eigenvalue.conjugate()))
                 assert abs(partner.eigenvalue - s.eigenvalue.conjugate()) < 1e-8
-                assert partner.t == pytest.approx(s.t, rel=1e-6)
+                assert partner.t == pytest.approx(s.t, rel=1e-6, abs=0)
                 used.update((id(s), id(partner)))
 
     def test_defective_matrix_rejected(self):
@@ -206,7 +206,7 @@ class TestSchurRoute:
         lam, mu, w = 1.3, -0.4, 0.8
         g = np.array([[lam, w], [0.0, mu]])
         assert ens.overlap_schur_real(g, lam) == pytest.approx(
-            w**2 / (lam - mu) ** 2, rel=1e-10)
+            w**2 / (lam - mu) ** 2, rel=1e-10, abs=0)
 
     def test_single_site(self):
         assert ens.overlap_schur_real(np.array([[2.5]]), 2.5) == 0.0

@@ -304,7 +304,7 @@ class TestConditionalCdf:
 
         num, _ = integrate_finite(g, 1e-12, t_star, QuadSpec(1e-13, 1e-9, 600))
         den, _ = integrate_finite(lambda x: analytic_real.density_real(n, x), lo, hi)
-        assert cdf[0] == pytest.approx(num / den, rel=1e-6)
+        assert cdf[0] == pytest.approx(num / den, rel=1e-6, abs=0)
 
     @pytest.mark.parametrize("beta, n, kind, lo, hi", [
         (1, 6, mh.REAL_INTERVAL, -0.5, 0.5),     # the benchmark's campaign-real
