@@ -37,9 +37,9 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-#: series terms in each of the first two blocks, and half of every later one;
-#: a power of 2 (the block's runs of terms merge in pairs)
-_BLOCK = 16
+#: series terms per block, a power of 2 (the block's runs of terms merge in
+#: pairs); its running products stay finite for y = xT up to ~5e10
+_BLOCK = 32
 
 
 def log_lower_integral(s: float, x, T, c=(1.0,)):
@@ -53,20 +53,20 @@ def log_lower_integral(s: float, x, T, c=(1.0,)):
     Kummer's transformation,
     J_i(y) = int_0^1 u^{s-1} (1-u)^i e^{-yu} du = B(s,i+1) e^{-y} M(i+1, s+i+1, y).
     Every term of every M is positive.  The series of all elements run
-    together in blocks, two of _BLOCK terms and then 2 _BLOCK each: a block's
-    term ratios fill one (terms, weights, elements) array, in which adjacent
-    runs of terms merge in pairs, a level at a time and in place, into their
-    sum of running products and their product, so a block costs a few passes
-    over contiguous rows and about 2 log2(block) numpy calls.  Between blocks an
-    element whose last term passed 1 is rescaled, its scale kept in log
-    space, so that none overflows; an element leaves once each of its tails
-    past the block (below a geometric series, as the term ratios
-    y (i+k)/((s+i+k) k) decrease in k) is under 1e-17 of its sum.  The block
-    bounds are the same for every element, so each gets the value it has on
-    its own, bit for bit.  The elements (the broadcast of x, T and c's
-    leading axes) are taken in groups whose block array, 2 _BLOCK floats per
-    weight and element, fits in ensemble.BATCH_BYTES, so memory does not
-    grow with their number.
+    together in blocks of _BLOCK terms: a block's term ratios fill one
+    (terms, weights, elements) array, in which adjacent runs of terms merge
+    in pairs, a level at a time and in place, into their sum of running
+    products and their product, so a block costs a few passes over
+    contiguous rows and about 25 numpy calls, however many elements it
+    holds.  Between blocks an element whose last term passed 1 is
+    rescaled, its scale kept in log space, so that none overflows; an
+    element leaves once each of its tails past the block
+    (below a geometric series, as the ratios decrease in k) is under 1e-17
+    of its sum.  Every element sees the same operations in the same order,
+    so each gets the value it has on its own, bit for bit.  The elements
+    (the broadcast of x, T and c's leading axes) are taken in groups whose
+    block array, _BLOCK floats per weight and element, fits in
+    ensemble.BATCH_BYTES, so memory does not grow with their number.
     """
     x = np.asarray(x, dtype=float)
     T = np.asarray(T, dtype=float)
@@ -77,8 +77,8 @@ def log_lower_integral(s: float, x, T, c=(1.0,)):
         raise DomainError(f"log_lower_integral needs finite s > 0, finite x >= 0, "
                           f"0 < T <= 1 and a nonempty finite c >= 0 (s = {s})")
     elements = np.broadcast(x, T, c[..., 0])
-    group = max(1, ensemble.BATCH_BYTES // (16 * c.shape[-1] * _BLOCK))
-    work = np.empty(2 * _BLOCK * c.shape[-1] * min(group, elements.size))
+    group = max(1, ensemble.BATCH_BYTES // (8 * c.shape[-1] * _BLOCK))
+    work = np.empty(_BLOCK * c.shape[-1] * min(group, elements.size))
     if elements.size <= group:
         out = _log_lower_group(s, x, T, c, work)
     else:
@@ -118,7 +118,7 @@ def _rows(v: np.ndarray, at, ndim: int) -> np.ndarray:
 
 def _log_lower_group(s: float, x, T, c, work: np.ndarray) -> np.ndarray:
     """log_lower_integral over the broadcast of x, T and c's leading axes, at
-    once; work holds at least 2 _BLOCK floats per weight and element."""
+    once; work holds at least _BLOCK floats per weight and element."""
     n_w = c.shape[-1]
     i = np.arange(n_w)
     y = x * T
@@ -129,20 +129,17 @@ def _log_lower_group(s: float, x, T, c, work: np.ndarray) -> np.ndarray:
     sums, last = np.ones((2, n_w, y.size))   # weights down, elements along
     k = 0                             # terms summed so far
     while True:
-        # most series end within two short blocks; longer ones go on in
-        # blocks twice as long, which halves the fixed cost per term
-        n = _BLOCK if k < 2 * _BLOCK else 2 * _BLOCK
         # the block's term ratios y (i+k)/((s+i+k) k), and the next one; a run
         # of terms stands as (sum of running products, product): two terms
         # a, b give (a + ab, ab), and adjacent runs then merge a level at a
         # time, (Sl, Pl) then (Sr, Pr) giving (Sl + Pl Sr, Pl Pr)
-        kj = np.arange(k + 1.0, k + n + 2.0)[:, None]
+        kj = np.arange(k + 1.0, k + _BLOCK + 2.0)[:, None]
         ikj = kj + i
         ratio = (ikj / ((s + ikj) * kj))[:, :, None]
-        terms = work[:n * n_w * yl.size].reshape(n, n_w, yl.size)
+        terms = work[:_BLOCK * n_w * yl.size].reshape(_BLOCK, n_w, yl.size)
         np.multiply(ratio[:-1], yl, out=terms)
         terms[0] *= last
-        runs = terms.reshape(n // 2, 2, n_w, yl.size)
+        runs = terms.reshape(_BLOCK // 2, 2, n_w, yl.size)
         runs[:, 1] *= runs[:, 0]
         runs[:, 0] += runs[:, 1]
         while len(runs) > 1:
@@ -151,28 +148,25 @@ def _log_lower_group(s: float, x, T, c, work: np.ndarray) -> np.ndarray:
             runs[:, 0] += left[:, 0]
         sums += runs[0, 0]
         last[...] = runs[0, 1]
-        k += n
+        k += _BLOCK
         # for r < 1 the tail past the block is below last r/(1 - r), as the
         # ratios fall with k; an element is done once that is under 1e-17 of
         # its sum for every weight: last r <= tol (1 - r), which r >= 1 fails
         r = ratio[-1] * yl
         tol = 1e-17 * sums
-        done, *rest = r * (last + tol) <= tol
-        for row in rest:
-            done &= row
-        n_done = np.count_nonzero(done)
-        if n_done == done.size:   # every series has ended, or there were none
+        done = (r * (last + tol) <= tol).all(axis=0)
+        if done.all():   # every series has ended, or there were none
             for row, part in zip(total, sums):
                 row[live] = part
             break
-        if n_done:
+        if done.any():
             at = live[done]
             for row, part in zip(total, np.compress(done, sums, axis=1)):
                 row[at] = part
             keep = ~done
             live, yl = live[keep], yl[keep]
             sums, last = np.compress(keep, sums, axis=1), np.compress(keep, last, axis=1)
-        if np.count_nonzero(last > 1.0):   # else every scale is 1, which changes no bit
+        if (last > 1.0).any():   # else every scale is 1, which changes no bit
             scale = np.maximum(last.max(axis=0), 1.0)
             sums = sums / scale
             last = last / scale
@@ -209,13 +203,12 @@ def log_reg_gamma_q(n: int, a):
         raise DomainError(f"reg_gamma_q requires finite a >= 0, got {a}")
     out = np.empty(a.shape)
     up = a > n
-    n_up = np.count_nonzero(up)
-    if n_up:
+    if up.any():
         au = a[up]
         # a^{k-1}/(k-1)! relative to the k = n-1 term, for k = n-1 .. 1
         rest = np.cumprod(np.arange(n - 1, 0, -1) / au[:, None], axis=-1).sum(axis=-1)
         out[up] = -au + (n - 1) * np.log(au) - math.lgamma(n) + np.log1p(rest)
-    if n_up < up.size:
+    if not up.all():
         al = a[~up]
         with np.errstate(divide="ignore"):
             log_p = n * np.log(al) - math.lgamma(n) + log_lower_integral(n, al, 1.0)

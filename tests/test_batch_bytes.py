@@ -130,7 +130,7 @@ class TestBitIdentity:
 
     def test_kernel_spans_default_groups(self):
         # 1,200 elements at four weights: more than one group at the default budget
-        assert 1200 * 4 * 16 * specfun._BLOCK > ensemble.BATCH_BYTES
+        assert 1200 * 4 * specfun._BLOCK * 8 > ensemble.BATCH_BYTES
         x = np.linspace(0.0, 5.0, 1200)
         x[::12] = np.linspace(200.0, 2000.0, 100)   # long series in every group
         c = np.array([0.0, 1.0, 0.5, 2.0])
