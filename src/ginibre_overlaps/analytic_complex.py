@@ -18,20 +18,17 @@ double sum of nonnegative terms,
     F_d1 = (i-j)^2 + i + j + 2,
     F_D1 = 4 + 5(i+j) + 2(i+j)^2 + i^3 + j^3 + ij(i-j)^2,
     F_D2 = 8 + 6(i+j) + 5(i-j)^2 + 4ij + (i+j)(i-j)^2,
-    F_d2 = 2a F_d1 + (i+1)[(i-j+1)^2 + i+j+3] + (j+1)[(i-j-1)^2 + i+j+3],
 
 with every F_W >= 0 for i, j >= 0 (F_d1 follows from d1 = (1/2) int int
-(xy)^m (x-y)^2 e^{-x-y} over x, y >= a; all four equal the gamma products
+(xy)^m (x-y)^2 e^{-x-y} over x, y >= a; all three equal the gamma products
 combined exactly in integers, tests/reference.py).  Divided by
 Gamma(N) Gamma(N-1), the coefficient of a^k is
-sum_{p+q=k} F_W(m-p, m-q) / (2(m+1) p! q!) (d2 adds its a F_d1 part one
-power up).  _log_weights tabulates the log of every coefficient once per N
-in O(N^2) floats; a weight at any a is then one log-sum-exp over the
-powers, so nothing cancels, near a ~ N included.
+sum_{p+q=k} F_W(m-p, m-q) / (2(m+1) p! q!).  _log_weights tabulates the log
+of every coefficient once per N in O(N^2) floats; a weight at any a is then
+one log-sum-exp over the powers, so nothing cancels, near a ~ N included.
 
-Under tau = t/(1+t) it is one tau-form (_tau_form): e^{top+a}/pi
-tau^{N-2} e^{-a tau} (1-tau)^2 [g1 (1-tau) + g2 (1-tau)^2 + g3 (1-tau)^3]
-with nonnegative weights, which the density, its integral over t
+Under tau = t/(1+t) the density is one tau-form with nonnegative weights
+(_tau_form), which the density, its integral over t
 (:func:`jpd_complex_cumulative`) and the L = 2 determinant ratio read;
 over all t it gives back the mean eigenvalue density
 (1/pi) e^{-a} sum_{k<N} a^k/k!.  Bulk (z = sqrt(N) w, t = N s) and edge
@@ -42,7 +39,6 @@ the perturbation-sensitivity density is the Gaussian-kernel transform of P.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -58,18 +54,17 @@ from .quadrature import DEFAULT_SPEC, QuadSpec, integrate_semi_infinite
 # ---------------------------------------------------------------------------
 
 def _index_polys(i, j):
-    """(F_d1, F_d2 - 2a F_d1, F_D1, F_D2) at indices i, j (ints or integer arrays)."""
+    """(F_d1, F_D1, F_D2) at indices i, j (ints or integer arrays)."""
     s, d = i + j, (i - j) ** 2
     return (d + s + 2,
-            (i + 1) * ((i - j + 1) ** 2 + s + 3) + (j + 1) * ((i - j - 1) ** 2 + s + 3),
             4 + 5 * s + 2 * s * s + i ** 3 + j ** 3 + i * j * d,
             8 + 6 * s + 5 * d + 4 * i * j + s * d)
 
 
 @lru_cache(maxsize=256)
 def _log_weights(n: int) -> np.ndarray:
-    """(4, 2n-2) read-only array: log of the a^k coefficient, k = 0..2n-3, of
-    e^{2a} W / (Gamma(n) Gamma(n-1)) for W = d1, d2, D1, D2 (rows); -inf
+    """(3, 2n-2) read-only array: log of the a^k coefficient, k = 0..2n-3, of
+    e^{2a} W / (Gamma(n) Gamma(n-1)) for W = d1, D1, D2 (rows); -inf
     where a row has no such power."""
     m, ln2 = n - 2, math.log(2.0)
     p = np.arange(m + 1)
@@ -77,45 +72,20 @@ def _log_weights(n: int) -> np.ndarray:
     lg = np.array([math.lgamma(j + 1.0) for j in range(2 * m + 2)])
     # 1/(p! q!) = 2^k/k! times C(k, p)/2^k <= 1, which cannot overflow
     share = np.exp(lg[k] - lg[p][:, None] - lg[p] - ln2 * k)
+    # one -inf column past the top power 2m: without it numpy regroups the
+    # sums in _checked_logs, which moves the last bits of the weights
     sums = [np.bincount(k.ravel(), (f * share).ravel(), minlength=2 * m + 2)
             for f in _index_polys(m - p[:, None], m - p)]
     with np.errstate(divide="ignore"):
         out = np.log(sums) + ln2 * np.arange(2 * m + 2) - lg - math.log(2.0 * (m + 1))
-    out[1, 1:] = np.logaddexp(out[1, 1:], ln2 + out[0, :-1])   # d2's 2a F_d1 part
     out.flags.writeable = False
     return out
-
-
-# ---------------------------------------------------------------------------
-# public coefficient bundle
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CoeffBundle:
-    """d1, d2, D1, D2 at (n, |z|^2), stored as value * e^{log_scale}.
-
-    The shared log scale keeps every ratio formed before exponentiation;
-    the raw values overflow doubles near n ~ 85.
-    """
-
-    n: int
-    z_abs_sq: float
-    log_scale: float
-    d1: float
-    d2: float
-    D1: float
-    D2: float
-
-    def unscaled(self):
-        """(d1, d2, D1, D2) as plain floats; may overflow for large n."""
-        s = math.exp(self.log_scale)
-        return self.d1 * s, self.d2 * s, self.D1 * s, self.D2 * s
 
 
 def _checked_logs(n: int, z_abs_sq):
     """(n, a, logs) for an integer n >= 2 and a = |z|^2 finite and >= 0
     (array-like): logs[w] = log(W / (Gamma(n) Gamma(n-1))) at a, for
-    W = d1, d2, D1, D2, each of a's shape."""
+    W = d1, D1, D2, each of a's shape."""
     n = integer("n", n, 2)
     a = np.asarray(z_abs_sq, dtype=float)
     if not ((a >= 0.0) & (a < np.inf)).all():   # also rejects NaN
@@ -129,36 +99,24 @@ def _checked_logs(n: int, z_abs_sq):
     return n, a, np.moveaxis(logs, -1, 0)
 
 
-def coeffs(n: int, z_abs_sq: float) -> CoeffBundle:
-    """Coefficient bundle of the finite-N joint density at (n, |z|^2)."""
-    n, a, logs = _checked_logs(n, float(z_abs_sq))
-    lgg = specfun.log_gamma(float(n)) + specfun.log_gamma(float(n - 1))
-    true_logs = [float(lv) + lgg for lv in logs]
-    top = max(true_logs)
-    vals = [math.exp(lv - top) for lv in true_logs]
-    return CoeffBundle(n=n, z_abs_sq=float(a), log_scale=top,
-                       d1=vals[0], d2=vals[1], D1=vals[2], D2=vals[3])
-
-
 # ---------------------------------------------------------------------------
 # densities
 # ---------------------------------------------------------------------------
 
-def _bracket(n: int, z_abs_sq):
-    """(n, a, top, g1, g2, g3): P = (e^{top + a om}/pi) tau^{n-2} (1+t)^{-3}
-    [g1 + g2 om + g3 om^2] with om = 1/(1+t) = 1 - tau and a = |z|^2
-    (array-like; top and the g's have its shape)."""
-    n, a, (l1, _, l3, l4) = _checked_logs(n, z_abs_sq)
-    top = np.maximum(np.maximum(l1, l3), l4)
-    return n, a, top, np.exp(l3 - top), a * np.exp(l4 - top), a * a * np.exp(l1 - top)
-
-
 def _tau_form(n: int, z_abs_sq):
     """(log_pref, s, x, c): P(t, z) = e^{log_pref + specfun.log_tau_form(s, x, c, t)}
-    at order n >= 2, with x = a = |z|^2 (array-like; c has a's shape + (4,))
-    and c = (0, g1, g2, g3) from _bracket."""
-    n, a, top, g1, g2, g3 = _bracket(n, z_abs_sq)
-    c = np.stack([np.zeros_like(a), g1, g2, g3], axis=-1)
+    at order n >= 2, with s = n - 1, x = a = |z|^2 (array-like; c has a's
+    shape + (4,)) and c = (0, g1, g2, g3), so that
+
+        P = e^{log_pref} tau^{n-2} e^{-a tau} (1-tau)^2
+            [g1 (1-tau) + g2 (1-tau)^2 + g3 (1-tau)^3],
+
+    where g1, g2, g3 are D1, a D2, a^2 d1 over Gamma(n) Gamma(n-1) e^{top},
+    top the largest of the three weight logs, and log_pref = top + a - ln pi."""
+    n, a, (l_d1, l_D1, l_D2) = _checked_logs(n, z_abs_sq)
+    top = np.maximum(np.maximum(l_d1, l_D1), l_D2)
+    c = np.stack([np.zeros_like(a), np.exp(l_D1 - top), a * np.exp(l_D2 - top),
+                  a * a * np.exp(l_d1 - top)], axis=-1)
     return top + a - math.log(math.pi), n - 1, a, c
 
 

@@ -90,7 +90,7 @@ def _emit(args, rows: list[dict], provenance: dict, columns: list[str]) -> None:
     # str of a float is its shortest round-trip repr
     lines += [",".join(str(row[c]) for c in columns) for row in rows]
     _write(args, "\n".join(lines) + "\n")
-    if args.out and args.emit_plot:
+    if args.emit_plot:
         _write_plot_script(args.out, columns)
 
 
@@ -126,14 +126,23 @@ def _write_plot_script(out_path: str, columns: list[str]) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _location(args, real: bool) -> float:
+    """--lambda for the real ensemble, --abs-z for the complex one (default 0);
+    the other ensemble's flag is rejected, not ignored."""
+    used, unused = (args.lam, args.abs_z) if real else (args.abs_z, args.lam)
+    if unused is not None:
+        flag, ensemble = ("--abs-z", "real") if real else ("--lambda", "complex")
+        raise DomainError(f"{flag} does not apply to the {ensemble} ensemble")
+    return 0.0 if used is None else used
+
+
 def _cmd_analytic(args) -> int:
     t_grid = _parse_grid(args.t_grid)
+    loc = _location(args, args.ensemble == "real")
     if args.ensemble == "real":
-        loc = args.lam
         vals = analytic_real.jpd_real(args.n, t_grid, loc)
         beta = 1
     else:
-        loc = args.abs_z
         vals = analytic_complex.jpd_complex(args.n, t_grid, loc * loc)
         beta = 2
     rows = [{"n": args.n, "beta": beta, "lambda_or_abs_z": float(loc),
@@ -215,7 +224,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_detratio(args) -> int:
-    z = args.lam if args.beta == 1 else args.abs_z
+    z = _location(args, args.beta == 1)
     q = detratio.DetRatioQuery(n=args.n, beta=args.beta, L=args.L, z=z, p=args.p)
     closed = detratio.detratio_closed(q)
     row = {"n": args.n, "beta": args.beta, "L": args.L, "z": float(z), "p": args.p,
@@ -327,8 +336,8 @@ def build_parser() -> _Parser:
     p = subs.add_parser("analytic", help="evaluate the finite-N joint density")
     p.add_argument("--ensemble", choices=("real", "complex"), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p.add_argument("--abs-z", type=float, default=0.0)
+    p.add_argument("--lambda", dest="lam", type=float, help="real ensemble only")
+    p.add_argument("--abs-z", type=float, help="complex ensemble only")
     p.add_argument("--t-grid", required=True, help="log:lo:hi:count or lin:lo:hi:count")
     _add_output(p)
 
@@ -352,8 +361,8 @@ def build_parser() -> _Parser:
     p.add_argument("--beta", type=int, choices=(1, 2), required=True)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p.add_argument("--abs-z", type=float, default=0.0)
+    p.add_argument("--lambda", dest="lam", type=float, help="--beta 1 only")
+    p.add_argument("--abs-z", type=float, help="--beta 2 only")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--mc", type=int, default=0, help="MC sample count (0 = closed form only)")
     p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed for --mc")
@@ -382,6 +391,8 @@ def dispatch(argv) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
+        if getattr(args, "emit_plot", False) and (args.format == "json" or not args.out):
+            raise DomainError("--emit-plot writes its script beside a CSV --out")
         return _HANDLERS[args.command](args)
     except (DomainError, EmptyWindowError, InsufficientSamplesError,
             QuadratureConvergenceError, OSError) as exc:

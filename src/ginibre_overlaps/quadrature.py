@@ -77,12 +77,15 @@ def kronrod_panel(f, a, b):
     or equal-length 1-d arrays, and f is called once on all their nodes.
 
     Returns (value, err_est): floats for scalar bounds, lists of floats for
-    array bounds.
+    array bounds.  A non-finite value of f raises DomainError.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     h = 0.5 * (b - a)
     x, _ = panel_nodes(a, b)
     fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    bad = ~np.isfinite(fx)
+    if bad.any():
+        raise DomainError(f"integrand is {fx[bad][0]:g} at abscissa {x[bad][0]:.17g}")
     # vecdot takes one dot product per contiguous row: the sums a lone panel forms
     vk = h * np.vecdot(fx, _WK)
     gauss = np.ascontiguousarray(fx[..., 1::2])
@@ -172,9 +175,7 @@ def integrate_semi_infinite(f, spec: QuadSpec = DEFAULT_SPEC,
         r = uu / (1.0 - uu)
         t = r**m
         jac = m * r ** (m - 1) / (1.0 - uu) ** 2
-        vals = np.asarray(f(t), dtype=float) * jac
-        vals[~np.isfinite(vals)] = 0.0
-        out[ok] = vals
+        out[ok] = np.asarray(f(t), dtype=float) * jac
         return out
 
     # seed panels biased toward u -> 1 where the map compresses the tail

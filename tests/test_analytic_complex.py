@@ -29,19 +29,26 @@ def _normalize(n, a, rel=1e-9):
     return val
 
 
+def _weights(n, a):
+    """(d1, D1, D2) at (n, |z|^2) as plain floats, from the weight logs."""
+    _, _, logs = ac._checked_logs(n, a)
+    lgg = math.lgamma(n) + math.lgamma(n - 1)
+    return tuple(math.exp(float(lv) + lgg) for lv in logs)
+
+
 class TestCoeffs:
     def test_zero_argument_small_n(self):
-        d1, d2, big1, big2 = ac.coeffs(2, 0.0).unscaled()
-        assert (d1, d2) == (pytest.approx(1.0), pytest.approx(4.0))
+        d1, big1, _ = _weights(2, 0.0)
+        assert d1 == pytest.approx(1.0)
         assert big1 == pytest.approx(2.0)
-        d1, _, big1, _ = ac.coeffs(3, 0.0).unscaled()
+        d1, big1, _ = _weights(3, 0.0)
         assert d1 == pytest.approx(2.0)
         assert big1 == pytest.approx(12.0)
 
     def test_zero_argument_identity(self):
         # d1(0) = (n-1)!(n-2)! and D1(0) = n(n-1) d1(0)
         for n in (2, 5, 9, 16):
-            d1, _, big1, _ = ac.coeffs(n, 0.0).unscaled()
+            d1, big1, _ = _weights(n, 0.0)
             ref = math.factorial(n - 1) * math.factorial(n - 2)
             assert d1 == pytest.approx(ref, rel=1e-12, abs=0)
             assert big1 == pytest.approx(n * (n - 1) * ref, rel=1e-12, abs=0)
@@ -49,34 +56,30 @@ class TestCoeffs:
     def test_n2_d1_is_pure_exponential(self):
         # at n = 2 the gamma products collapse: d1 = e^{-2a} exactly
         for a in (0.0, 0.7, 3.0, 41.5):
-            b = ac.coeffs(2, a)
-            assert b.d1 * math.exp(b.log_scale + 2.0 * a) == pytest.approx(1.0, rel=1e-12, abs=0)
+            d1, _, _ = _weights(2, a)
+            assert d1 * math.exp(2.0 * a) == pytest.approx(1.0, rel=1e-12, abs=0)
 
     def test_against_gamma_products_moderate(self):
         # direct Gamma-product evaluation is accurate while cancellation is
         # mild (a well below n); the polynomial route must match it
         for n, a in ((4, 0.5), (7, 2.0), (12, 3.5)):
-            g = [math.exp(specfun.log_gamma_upper(m, a)) for m in (n - 1, n, n + 1, n + 2)]
+            g = [math.exp(specfun.log_gamma_upper(m, a)) for m in (n - 1, n, n + 1)]
             d1_ref = g[0] * g[2] - g[1] ** 2
-            d2_ref = g[0] * g[3] - g[1] * g[2]
-            b = ac.coeffs(n, a)
-            scale = math.exp(b.log_scale)
-            assert b.d1 * scale == pytest.approx(d1_ref, rel=1e-10, abs=0)
-            assert b.d2 * scale == pytest.approx(d2_ref, rel=1e-10, abs=0)
+            d1, _, _ = _weights(n, a)
+            assert d1 == pytest.approx(d1_ref, rel=1e-10, abs=0)
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(min_value=2, max_value=60),
            a=st.floats(min_value=0.0, max_value=400.0))
-    def test_d1_d2_nonnegative(self, n, a):
-        b = ac.coeffs(n, a)
-        assert b.d1 >= 0.0 and b.d2 >= 0.0
-        assert math.isfinite(b.log_scale)
+    def test_weight_logs_finite(self, n, a):
+        _, _, logs = ac._checked_logs(n, a)
+        assert np.isfinite(logs).all()
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            ac.coeffs(1, 0.0)
+            ac._checked_logs(1, 0.0)
         with pytest.raises(DomainError):
-            ac.coeffs(3, -1.0)
+            ac._checked_logs(3, -1.0)
 
 
 def _trimmed(poly):
@@ -87,7 +90,7 @@ def _trimmed(poly):
 
 
 class TestWeights:
-    """d1, d2, D1, D2 as positive double sums over the index polynomials."""
+    """d1, D1, D2 as positive double sums over the index polynomials."""
 
     def test_double_sums_are_the_exact_polynomials(self):
         # 2 e^{2a} W = sum_{i,j<=m} f_i f_j a^{2m-i-j} F_W(i, j), f_i = m!/(m-i)!,
@@ -95,15 +98,14 @@ class TestWeights:
         for n in range(2, 61):
             m = n - 2
             f = [math.factorial(m) // math.factorial(m - i) for i in range(m + 1)]
-            sums = [[0] * (2 * m + 2) for _ in range(4)]
+            sums = [[0] * (2 * m + 1) for _ in range(3)]
             for i in range(m + 1):
                 for j in range(m + 1):
                     k, w = 2 * m - i - j, f[i] * f[j]
-                    polys = ac._index_polys(i, j)
-                    for row, fw in zip(sums, polys):
+                    for row, fw in zip(sums, ac._index_polys(i, j)):
                         row[k] += w * fw
-                    sums[1][k + 1] += 2 * w * polys[0]   # d2's 2a F_d1 part
-            for got, ref in zip(sums, complex_weight_polys(n)):
+            d1, _, big1, big2 = complex_weight_polys(n)
+            for got, ref in zip(sums, (d1, big1, big2)):
                 assert _trimmed(got) == [2 * c for c in _trimmed(ref)], n
 
     @pytest.mark.parametrize("n, bound", [(2, 1e-13), (4, 1e-13), (10, 1e-13), (30, 1e-13),
@@ -113,9 +115,10 @@ class TestWeights:
         # exact integer polynomial at 50 digits
         grid = [0.0, 1e-3, 0.3, n / 2, n, 1.3 * n + 5, 2 * n, 3 * n + 10]
         _, _, logs = ac._checked_logs(n, grid)
+        d1, _, big1, big2 = complex_weight_polys(n)
         with mpmath.workdps(50):
             lgg = mpmath.log(mpmath.factorial(n - 1) * mpmath.factorial(n - 2))
-            for w, (poly, row) in enumerate(zip(complex_weight_polys(n), logs)):
+            for w, (poly, row) in enumerate(zip((d1, big1, big2), logs)):
                 for a, got in zip(grid, row.tolist()):
                     ref = mpmath.log(mpmath.polyval(poly[::-1], a)) - 2 * a - lgg
                     assert abs(got - ref) <= bound, (w, a)
@@ -170,7 +173,7 @@ class TestCumulative:
     @pytest.mark.parametrize("n", [2, 6, 30, 200])
     def test_against_mpmath(self, n):
         # the four-term sum of I_s(a, T) = a^{-s} gamma(s, aT) at 50 digits,
-        # on the coefficients of _bracket.  The terms alternate in sign; the
+        # on the tau-form weights of _tau_form.  The terms alternate in sign; the
         # bounds were set for a float evaluation of that same sum (up to
         # (2n)^3 times the value where the mass sits at tau near 1).  The
         # positive kernel measures 1.8e-13 relative at worst, at n = 200.
@@ -180,9 +183,9 @@ class TestCumulative:
         with mpmath.workdps(50):
             for r in np.linspace(0.0, 2.0 * math.sqrt(n), 9).tolist():
                 a = r * r
-                _, _, top, g1, g2, g3 = ac._bracket(n, a)
+                log_pref, _, _, (_, g1, g2, g3) = ac._tau_form(n, a)
                 coef = (g1 + g2 + g3, -(g1 + 2 * g2 + 3 * g3), g2 + 3 * g3, -g3)
-                scale = mpmath.exp(top + a) / mpmath.pi
+                scale = mpmath.exp(log_pref)
                 got = ac.jpd_complex_cumulative(n, ts, a)
                 for t, g in zip(ts.tolist(), got):
                     T = mpmath.mpf(t) / (1 + mpmath.mpf(t))
@@ -200,7 +203,7 @@ class TestCumulative:
 
     @pytest.mark.parametrize("n", [30, 200])
     def test_against_direct_quadrature(self, n):
-        # the positive tau-integrand (e^{top+a}/pi) tau^{n-2} e^{-a tau}
+        # the positive tau-integrand e^{log_pref} tau^{n-2} e^{-a tau}
         # [g1 (1-tau) + g2 (1-tau)^2 + g3 (1-tau)^3] by mpmath quad at 50
         # digits, over tau = T u with the integrand divided by its peak
         ts = np.geomspace(1e-2, 1e12, 8)
@@ -208,7 +211,7 @@ class TestCumulative:
         with mpmath.workdps(50):
             for r in np.linspace(0.0, 2.0 * math.sqrt(n), 5).tolist():
                 a = r * r
-                _, _, top, g1, g2, g3 = ac._bracket(n, a)
+                log_pref, _, _, (_, g1, g2, g3) = ac._tau_form(n, a)
                 got = ac.jpd_complex_cumulative(n, ts, a)
                 for t, g in zip(ts.tolist(), got):
                     T = mpmath.mpf(t) / (1 + mpmath.mpf(t))
@@ -222,7 +225,7 @@ class TestCumulative:
                             g1 * om + g2 * om ** 2 + g3 * om ** 3)
 
                     val = mpmath.quad(f, [0, peak, 1] if peak < 1 else [0, 1])
-                    ref = mpmath.exp(top + a + lpk) / mpmath.pi * T ** s * val
+                    ref = mpmath.exp(log_pref + lpk) * T ** s * val
                     if ref >= sys.float_info.min:
                         assert abs(g - ref) <= 1e-12 * ref, (r, t)
                     else:
@@ -399,16 +402,16 @@ class TestSensitivity:
         assert ac.sensitivity_density(2, 0.09, 0.0) == pytest.approx(SENS_2_W03, rel=1e-9, abs=0)
 
     def test_against_tau_form(self):
-        # (n/pi^2) e^{top+x} [g1 J_2 + g2 J_3 + g3 J_4], x = |z|^2 - n|w|^2,
+        # (n/pi) e^{log_pref - n|w|^2} [g1 J_2 + g2 J_3 + g3 J_4], x = |z|^2 - n|w|^2,
         # J_i = B(n-1, i+1) M(n-1, n+i, -x), with mpmath hyp1f1 at 60 digits;
         # the first three points lie far below the quadrature's abs_tol
         points = [(100, 0.0, 400.0), (30, 0.0, 120.0), (30, 0.0, 400.0),
                   (2, 0.0, 0.0), (6, 1.5, 2.0), (30, 0.5, 30.0), (30, 0.0, 30.0)]
         with mpmath.workdps(60):
             for n, w2, a in points:
-                _, _, top, g1, g2, g3 = ac._bracket(n, a)
+                log_pref, _, _, (_, g1, g2, g3) = ac._tau_form(n, a)
                 x = mpmath.mpf(a) - n * mpmath.mpf(w2)
-                ref = n / mpmath.pi ** 2 * mpmath.exp(top + x) * sum(
+                ref = n / mpmath.pi * mpmath.exp(log_pref - n * mpmath.mpf(w2)) * sum(
                     g * mpmath.beta(n - 1, i + 1) * mpmath.hyp1f1(n - 1, n + i, -x)
                     for g, i in ((g1, 2), (g2, 3), (g3, 4)))
                 got = ac.sensitivity_density(n, w2, a)

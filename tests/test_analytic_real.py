@@ -304,6 +304,25 @@ class TestEdge:
                 for s, d in grid))
         assert sups[0] > sups[1] > sups[2]
 
+    def test_finite_n_convergence_rate(self):
+        # on the same grid sqrt(N) sup measured 0.757, 0.805, 0.830 and 0.843:
+        # each increment about half the one before as N quadruples, so the
+        # sup error is c/sqrt(N) - b/N with c ~ 0.86
+        grid = [(s, d) for s in (0.5, 1.0, 2.0) for d in (-0.5, 0.0, 0.5)]
+        ns = (100, 400, 1600, 6400)
+        sups = []
+        for n in ns:
+            rt = math.sqrt(n)
+            sups.append(max(
+                abs(rt * ar.jpd_real(n, rt * s, rt + d) - ar.jpd_real_edge(s, d))
+                for s, d in grid))
+        assert sups[0] > sups[1] > sups[2] > sups[3]
+        scaled = [math.sqrt(n) * sup for n, sup in zip(ns, sups)]
+        assert all(0.70 <= v <= 0.90 for v in scaled), scaled
+        steps = [b - a for a, b in zip(scaled, scaled[1:])]
+        for prev, step in zip(steps, steps[1:]):
+            assert 0.4 <= step / prev <= 0.6, scaled
+
     def test_domain(self):
         with pytest.raises(DomainError):
             ar.jpd_real_edge(0.0, 0.0)

@@ -141,7 +141,7 @@ _NON_FINITE = {
     "jpd_complex_cumulative t": lambda v: ac.jpd_complex_cumulative(4, v, 0.5),
     "jpd_complex_cumulative |z|^2": lambda v: ac.jpd_complex_cumulative(4, 1.0, [0.5, v]),
     "jpd_complex_zero t": lambda v: ac.jpd_complex_zero(4, v),
-    "coeffs |z|^2": lambda v: ac.coeffs(3, v),
+    "_checked_logs |z|^2": lambda v: ac._checked_logs(3, v),
     "density_complex |z|^2": lambda v: ac.density_complex(4, v),
     "reg_gamma_q a": lambda v: specfun.reg_gamma_q(4, v),
     "log_reg_gamma_q a": lambda v: specfun.log_reg_gamma_q(4, np.array([0.5, v])),

@@ -294,6 +294,26 @@ class TestUsage:
                 dispatch(argv)
             assert info.value.code == 1, argv
 
+    @pytest.mark.parametrize("argv, to_file", [
+        (["analytic", "--ensemble", "real", "--n", "3", "--abs-z", "2",
+          "--t-grid", "lin:1:2:3"], True),
+        (["detratio", "--beta", "1", "--L", "2", "--n", "4", "--abs-z", "0.7", "--p", "1"], True),
+        (["detratio", "--beta", "2", "--L", "2", "--n", "4", "--lambda", "0.7", "--p", "1"], True),
+        (["density", "--ensemble", "real", "--n", "3", "--grid", "lin:0:1:3",
+          "--format", "json", "--emit-plot"], True),
+        (["density", "--ensemble", "real", "--n", "3", "--grid", "lin:0:1:3",
+          "--emit-plot"], False)],
+        ids=["analytic-real-abs-z", "detratio-beta1-abs-z", "detratio-beta2-lambda",
+             "emit-plot-json", "emit-plot-stdout"])
+    def test_flag_the_run_would_ignore_exit_1(self, argv, to_file, tmp_path, capsys):
+        # the flag is valid for the subcommand but not for this run: an error
+        # line and no output, where it used to be dropped silently
+        out = tmp_path / "out.csv"
+        assert dispatch(argv + (["--out", str(out)] if to_file else [])) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith("error: ") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_window_exit_1(self):
         rc = dispatch(["sample", "--beta", "2", "--n", "4", "--matrices", "10",
                        "--window", "circle:0:1"])

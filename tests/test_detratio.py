@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ginibre_overlaps import analytic_complex, analytic_real, detratio, specfun
-from ginibre_overlaps.analytic_complex import _bracket
+from ginibre_overlaps.analytic_complex import _tau_form
 from ginibre_overlaps.ensemble import EnsembleSpec, sample_ginibre_batch
 from ginibre_overlaps.errors import DomainError
 from ginibre_overlaps.quadrature import (
@@ -105,10 +105,11 @@ def _ref_closed_complex_l1(n: int, a: float, p: float, spec: QuadSpec) -> float:
 
 
 def _ref_closed_complex_l2(n: int, a: float, p: float, spec: QuadSpec) -> float:
-    # coefficient bundle at order n+1; its normalization Gamma(n+1)Gamma(n)
-    # combines with the 1/(n-1)! prefactor into Gamma(n+1)
-    _, _, top, g1, g2, g3 = _bracket(n + 1, a)
-    ln_pref = specfun.log_gamma(n + 1.0) + 2.0 * a + top
+    # tau-form weights at order n+1; their normalization Gamma(n+1)Gamma(n)
+    # combines with the 1/(n-1)! prefactor into Gamma(n+1), and
+    # e^{top + a} = pi e^{log_pref}
+    log_pref, _, _, (_, g1, g2, g3) = _tau_form(n + 1, a)
+    ln_pref = specfun.log_gamma(n + 1.0) + a + log_pref + math.log(math.pi)
 
     def f(t):
         om = 1.0 / (1.0 + t)

@@ -97,6 +97,16 @@ class TestConvergenceFailure:
         with pytest.raises(DomainError):
             QuadSpec(max_subdivisions=0)
 
+    @pytest.mark.parametrize("integral", [
+        lambda: integrate_semi_infinite(lambda t: np.full_like(t, np.nan)),
+        # +inf past t = 5: zeroed, it gave the integral over (0, 5) alone
+        lambda: integrate_semi_infinite(lambda t: np.where(t > 5.0, np.inf, (1.0 + t) ** -2)),
+        lambda: integrate_finite(lambda x: np.full_like(x, np.nan), 0.0, 1.0),
+    ], ids=["nan-semi-infinite", "inf-tail", "nan-finite"])
+    def test_non_finite_integrand_raises(self, integral):
+        with pytest.raises(DomainError, match="integrand is (nan|inf) at abscissa"):
+            integral()
+
 
 class TestBatchedPanels:
     """kronrod_panel over several panels gives the bits of each lone panel, and
