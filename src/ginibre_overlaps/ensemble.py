@@ -56,7 +56,7 @@ GRID_MAX_WORDS = 64
 SLICE_WORDS = 32_768
 #: bytes that the largest temporaries of one batch may take: the matrices of a
 #: campaign step, the bordered systems of a pass, the one block array (a float
-#: per series term, weight and element) that every group of
+#: per series term, weight and element) that each group of the flat run of
 #: specfun.log_lower_integral elements reuses; peak memory then no longer grows with
 #: chunk, n or the window (beta=2, n=30, 2-core x86-64: 256 KiB ran ~7% slower
 #: than 1 MiB, 2 MiB held 2.5 MB more resident memory)

@@ -10,8 +10,8 @@ underflows (a past ~n + 700), accurate to ~1e-13 relative for n up to a few
 hundred; the log of the integrand itself at tau = t/(1+t), the form every
 overlap density takes (log_tau_form); and the scaled complementary error
 function erfcx.  The kernel's series loop does arithmetic, not bookkeeping:
-a block of terms for every element at once is a few passes over one
-contiguous array, whose runs of terms merge in pairs.
+a block of terms for a flat run of elements at once is a few passes over
+one contiguous array, whose runs of terms merge in pairs.
 """
 
 from __future__ import annotations
@@ -64,9 +64,10 @@ def log_lower_integral(s: float, x, T, c=(1.0,)):
     (below a geometric series, as the ratios decrease in k) is under 1e-17
     of its sum.  Every element sees the same operations in the same order,
     so each gets the value it has on its own, bit for bit.  The elements
-    (the broadcast of x, T and c's leading axes) are taken in groups whose
-    block array, _BLOCK floats per weight and element, fits in
-    ensemble.BATCH_BYTES, so memory does not grow with their number.
+    (the broadcast of x, T and c's leading axes) are walked in C order in
+    groups, gathered from broadcast views, whose block array, _BLOCK floats
+    per weight and element, fits in ensemble.BATCH_BYTES, so memory does
+    not grow with their number.
     """
     x = np.asarray(x, dtype=float)
     T = np.asarray(T, dtype=float)
@@ -76,57 +77,32 @@ def log_lower_integral(s: float, x, T, c=(1.0,)):
             and ((0.0 < T) & (T <= 1.0)).all()):   # also rejects NaN
         raise DomainError(f"log_lower_integral needs finite s > 0, finite x >= 0, "
                           f"0 < T <= 1 and a nonempty finite c >= 0 (s = {s})")
-    elements = np.broadcast(x, T, c[..., 0])
-    group = max(1, ensemble.BATCH_BYTES // (8 * c.shape[-1] * _BLOCK))
-    work = np.empty(_BLOCK * c.shape[-1] * min(group, elements.size))
-    if elements.size <= group:
-        out = _log_lower_group(s, x, T, c, work)
-    else:
-        out = np.empty(elements.shape)
-        # each operand is cut along its own axes only, so the factors of T
-        # alone are still computed once per T, not once per element
-        for at in _row_groups(out.shape, group):
-            out[at] = _log_lower_group(s, *(_rows(v, at, out.ndim + tail)
-                                            for v, tail in ((x, 0), (T, 0), (c, 1))), work)
-    return float(out) if out.ndim == 0 else out
-
-
-def _row_groups(shape, size: int):
-    """Index tuples of slices that cut an array of this shape, in C order,
-    into pieces of whole trailing rows, at most size (>= 1) elements each."""
-    if not shape:
-        yield ()
-        return
-    inner = math.prod(shape[1:])
-    if inner > size:
-        for a in range(shape[0]):
-            for rest in _row_groups(shape[1:], size):
-                yield (slice(a, a + 1),) + rest
-    else:
-        step = size // inner
-        for lo in range(0, shape[0], step):
-            yield (slice(lo, lo + step),)
-
-
-def _rows(v: np.ndarray, at, ndim: int) -> np.ndarray:
-    """The part of v that broadcasts to the piece `at` of an ndim-axis
-    broadcast: v's axes of length 1, and those it lacks, stay whole."""
-    pad = ndim - v.ndim
-    return v[tuple(a if v.shape[d - pad] > 1 else slice(None)
-                   for d, a in enumerate(at) if d >= pad)]
+    shape = np.broadcast(x, T, c[..., 0]).shape
+    n_w = c.shape[-1]
+    # flat runs of the broadcast in C order; an element's weights are adjacent
+    xs, Ts, cs = (np.broadcast_to(v, shape + tail).flat
+                  for v, tail in ((x, ()), (T, ()), (c, (n_w,))))
+    out = np.empty(math.prod(shape))
+    group = max(1, ensemble.BATCH_BYTES // (8 * n_w * _BLOCK))
+    work = np.empty(_BLOCK * n_w * min(group, out.size))
+    for lo in range(0, out.size, group):
+        hi = lo + group
+        out[lo:hi] = _log_lower_group(s, xs[lo:hi], Ts[lo:hi],
+                                      cs[lo * n_w:hi * n_w].reshape(-1, n_w), work)
+    return float(out[0]) if not shape else out.reshape(shape)
 
 
 def _log_lower_group(s: float, x, T, c, work: np.ndarray) -> np.ndarray:
-    """log_lower_integral over the broadcast of x, T and c's leading axes, at
-    once; work holds at least _BLOCK floats per weight and element."""
+    """log_lower_integral at once for a run of elements: x and T hold one
+    value each, c one row of weights each; work holds at least _BLOCK floats
+    per weight and element."""
     n_w = c.shape[-1]
     i = np.arange(n_w)
-    y = x * T
-    total = np.empty((n_w, y.size))   # M(i+1, s+i+1, y) in units of e^{log_scale}
-    log_scale = np.zeros(y.size)
-    live = np.arange(y.size)          # the elements whose series still run
-    yl = y.reshape(-1)                # and their y
-    sums, last = np.ones((2, n_w, y.size))   # weights down, elements along
+    total = np.empty((n_w, len(x)))   # M(i+1, s+i+1, y) in units of e^{log_scale}
+    log_scale = np.zeros(len(x))
+    live = np.arange(len(x))          # the elements whose series still run
+    yl = x * T                        # and their y
+    sums, last = np.ones((2, n_w, len(x)))   # weights down, elements along
     k = 0                             # terms summed so far
     while True:
         # the block's term ratios y (i+k)/((s+i+k) k), and the next one; a run
@@ -175,19 +151,18 @@ def _log_lower_group(s: float, x, T, c, work: np.ndarray) -> np.ndarray:
     # Horner's rule, all terms >= 0), then sum_i w_i T^i B(s, i+1) M_i by
     # Horner's rule in T, with B(s, i+1) = i!/(s (s+1) ... (s+i))
     om = 1.0 - T
-    w = [c[..., m] for m in range(n_w)]
+    w = list(c.T)
     for lo in range(n_w - 1):
         for m in range(n_w - 2, lo - 1, -1):
             w[m] = w[m] + om * w[m + 1]
     beta = [1.0 / s]
     for m in range(1, n_w):
         beta.append(beta[-1] * m / (s + m))
-    total = total.reshape((n_w,) + y.shape)
     acc = 0.0
     for m in range(n_w - 1, -1, -1):
         acc = acc * T + w[m] * beta[m] * total[m]
     with np.errstate(divide="ignore"):
-        return s * np.log(T) - y + log_scale.reshape(y.shape) + np.log(acc)
+        return s * np.log(T) - x * T + log_scale + np.log(acc)
 
 
 def log_reg_gamma_q(n: int, a):
@@ -205,8 +180,11 @@ def log_reg_gamma_q(n: int, a):
     up = a > n
     if up.any():
         au = a[up]
-        # a^{k-1}/(k-1)! relative to the k = n-1 term, for k = n-1 .. 1
-        rest = np.cumprod(np.arange(n - 1, 0, -1) / au[:, None], axis=-1).sum(axis=-1)
+        # sum_{k<n-1} a^k/k! relative to the k = n-1 term, by Horner's rule:
+        # (n-1)/a (1 + (n-2)/a (1 + ... (1 + 1/a)))
+        rest = 0.0
+        for k in range(1, n):
+            rest = k / au * (1.0 + rest)
         out[up] = -au + (n - 1) * np.log(au) - math.lgamma(n) + np.log1p(rest)
     if not up.all():
         al = a[~up]

@@ -13,10 +13,11 @@ weights under tau = t/(1+t) (analytic_real._tau_form); jpd_real_gamma is
 the same density as the two-term bracket of regularized incomplete gammas,
 evaluated at 40 digits, where its difference cannot cancel.
 
-The package builds the complex weights d1, d2, D1, D2 from positive double
+The package builds the complex weights d1, D1, D2 from positive double
 sums in floats (analytic_complex._log_weights); complex_weight_polys gives
-each as e^{-2a} times a polynomial in a with exact integer coefficients,
-combined from products of incomplete gamma polynomials in Python ints.
+each, and the d2 that D1 and D2 are combined from, as e^{-2a} times a
+polynomial in a with exact integer coefficients, combined from products of
+incomplete gamma polynomials in Python ints.
 """
 
 from __future__ import annotations

@@ -128,6 +128,28 @@ class TestBitIdentity:
             for b in range(7):
                 assert grid[a, b] == specfun.log_lower_integral(1.5, x[a, 0], T[b], c[a, 0])
 
+    def test_kernel_groups_run_across_three_axes(self, monkeypatch):
+        # c, x and T each broadcast along axes the others lack; groups of 7
+        # of the 60 elements start and end in the middle of rows
+        rng = np.random.default_rng(9)
+        c = rng.random((3, 1, 1, 4))
+        x = np.array([0.0, 2.5, 80.0, 900.0]).reshape(1, 4, 1)
+        T = np.array([0.05, 0.3, 0.7, 0.95, 1.0])
+        monkeypatch.setattr(ensemble, "BATCH_BYTES", 8 * 4 * specfun._BLOCK * 7)
+        grid = specfun.log_lower_integral(2.5, x, T, c)
+        monkeypatch.undo()
+        assert grid.shape == (3, 4, 5)
+        for a, b, d in np.ndindex(grid.shape):
+            assert grid[a, b, d] == specfun.log_lower_integral(2.5, x[0, b, 0], T[d],
+                                                               c[a, 0, 0])
+
+    def test_kernel_scalar_and_empty_broadcasts(self):
+        one = specfun.log_lower_integral(3.0, 1.5, 0.5, [1.0, 2.0])
+        assert type(one) is float
+        assert one == specfun.log_lower_integral(3.0, [1.5], [0.5], [1.0, 2.0])[0]
+        empty = specfun.log_lower_integral(3.0, np.ones((0, 1)), [0.5, 1.0], [1.0, 2.0])
+        assert empty.shape == (0, 2)
+
     def test_kernel_spans_default_groups(self):
         # 1,200 elements at four weights: more than one group at the default budget
         assert 1200 * 4 * specfun._BLOCK * 8 > ensemble.BATCH_BYTES
@@ -213,6 +235,13 @@ class TestMemoryBound:
         spec, win = _complex_campaign()
         peak = _traced_peak(lambda: mh.run_campaign(spec, 512, win))
         assert peak <= 6 * ensemble.BATCH_BYTES
+
+    def test_upper_gamma_q_past_its_order(self):
+        # a > n sums n - 1 terms per element by Horner's rule, a few arrays of
+        # a's size; an (elements x n - 1) table of running products took 320 MB
+        a = np.linspace(250.0, 900.0, 100_000)
+        peak = _traced_peak(lambda: specfun.reg_gamma_q(200, a))
+        assert peak <= 8 * a.nbytes
 
     def test_large_matrices_do_not_add_up(self):
         # one 200 x 200 complex matrix (640 KB) per step: doubling the matrix
