@@ -44,9 +44,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun
-from .analytic_real import _as_t
-from .errors import DomainError, integer
-from .quadrature import DEFAULT_SPEC, QuadSpec, integrate_semi_infinite
+from .errors import integer, real
+from .quadrature import integrate_semi_infinite
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +86,7 @@ def _checked_logs(n: int, z_abs_sq):
     (array-like): logs[w] = log(W / (Gamma(n) Gamma(n-1))) at a, for
     W = d1, D1, D2, each of a's shape."""
     n = integer("n", n, 2)
-    a = np.asarray(z_abs_sq, dtype=float)
-    if not ((a >= 0.0) & (a < np.inf)).all():   # also rejects NaN
-        raise DomainError(f"|z|^2 must be finite and >= 0, got {z_abs_sq}")
+    a = np.asarray(real("|z|^2", z_abs_sq, 0.0))
     table = _log_weights(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = table + np.arange(table.shape[1]) * np.log(a)[..., None, None]
@@ -128,7 +125,7 @@ def jpd_complex(n: int, t, z_abs_sq):
     """
     log_pref, s, x, c = _tau_form(n, z_abs_sq)
     scalar = np.isscalar(t) and np.isscalar(z_abs_sq)
-    out = np.exp(log_pref + specfun.log_tau_form(s, x, c, _as_t(t)))
+    out = np.exp(log_pref + specfun.log_tau_form(s, x, c, real("t", t, 0.0, lo_open=True)))
     return float(out) if scalar else out
 
 
@@ -141,9 +138,9 @@ def jpd_complex_cumulative(n: int, t, z_abs_sq):
     """
     n = integer("n", n, 2)
     scalar = np.isscalar(t) and np.isscalar(z_abs_sq)
-    tb = _as_t(t)
+    t = real("t", t, 0.0, lo_open=True)
     log_pref, s, x, c = _tau_form(n, z_abs_sq)
-    out = np.exp(log_pref + specfun.log_lower_integral(s, x, tb / (1.0 + tb), c))
+    out = np.exp(log_pref + specfun.log_lower_integral(s, x, t / (1.0 + t), c))
     return float(out) if scalar else out
 
 
@@ -151,25 +148,23 @@ def jpd_complex_zero(n: int, t):
     """P(t, z=0) = N(N-1)/pi * t^{N-2}/(1+t)^{N+1}; the z=0 simplification."""
     n = integer("n", n, 2)
     scalar = np.isscalar(t)
-    tb = _as_t(t)
-    log_tau = np.log(tb) - np.log1p(tb)
+    t = real("t", t, 0.0, lo_open=True)
+    log_tau = np.log(t) - np.log1p(t)
     logp = (math.log(n) + math.log(n - 1.0) - math.log(math.pi)
-            + (n - 2) * log_tau - 3.0 * np.log1p(tb))
+            + (n - 2) * log_tau - 3.0 * np.log1p(t))
     out = np.exp(logp)
     return float(out[()]) if scalar else out
 
 
 def density_complex(n: int, z_abs_sq):
     """Mean eigenvalue density (1/pi) e^{-|z|^2} sum_{k<n} |z|^{2k}/k!, n >= 1."""
-    return specfun.reg_gamma_q(n, z_abs_sq) / math.pi
+    return specfun.reg_gamma_q(n, real("|z|^2", z_abs_sq, 0.0)) / math.pi
 
 
 def jpd_complex_bulk(s, w_abs):
     """Bulk limit: lim N P(N s, sqrt(N) w) = (1-|w|^2)^2 e^{-(1-|w|^2)/s}/(pi s^3)."""
-    s = np.asarray(s, dtype=float)
-    w = np.asarray(w_abs, dtype=float)
-    if not (np.all(s > 0.0) and np.all(np.abs(w) >= 0.0)):   # also rejects NaN
-        raise DomainError("bulk overlap s must be > 0 and w a number")
+    s = np.asarray(real("s", s, 0.0, lo_open=True))
+    w = np.asarray(real("|w|", w_abs))
     c = 1.0 - w * w
     with np.errstate(over="ignore"):
         val = c * c * np.exp(-c / s) / (math.pi * s**3)
@@ -177,9 +172,8 @@ def jpd_complex_bulk(s, w_abs):
     return float(out[()]) if out.ndim == 0 else out
 
 
-def _edge_complex_scalar(sigma: float, delta: float) -> float:
-    if not (0.0 < sigma < math.inf and math.isfinite(delta)):   # also rejects NaN
-        raise DomainError(f"edge needs finite sigma > 0 and finite delta, got ({sigma}, {delta})")
+def _edge_complex_scalar(sigma, delta) -> float:
+    sigma, delta = real("sigma", sigma, 0.0, lo_open=True), real("delta", delta)
     big = 1.0 - 2.0 * sigma * delta
     gauss = -big * big / (2.0 * sigma * sigma)
     sq2d = math.sqrt(2.0) * delta
@@ -199,20 +193,16 @@ def _edge_complex_scalar(sigma: float, delta: float) -> float:
 def jpd_complex_edge(sigma, delta):
     """Edge limit of the complex joint density at |z| = sqrt(N) + delta."""
     if np.isscalar(sigma) and np.isscalar(delta):
-        return _edge_complex_scalar(float(sigma), float(delta))
-    elementwise = np.vectorize(lambda s, d: _edge_complex_scalar(float(s), float(d)), otypes=[float])
-    return elementwise(sigma, delta)
+        return _edge_complex_scalar(sigma, delta)
+    return np.vectorize(_edge_complex_scalar, otypes=[float])(sigma, delta)
 
 
 def density_complex_edge(delta) -> float:
     """Mean edge density of complex eigenvalues: erfc(sqrt(2) delta)/(2 pi)."""
-    if math.isnan(float(delta)):
-        raise DomainError("edge offset delta must be a number")
-    return specfun.erfc(math.sqrt(2.0) * float(delta)) / (2.0 * math.pi)
+    return specfun.erfc(math.sqrt(2.0) * real("delta", delta)) / (2.0 * math.pi)
 
 
-def sensitivity_density(n: int, w_abs_sq: float, z_abs_sq: float,
-                        spec: QuadSpec = DEFAULT_SPEC) -> float:
+def sensitivity_density(n: int, w_abs_sq: float, z_abs_sq: float) -> float:
     """Density of the eigenvalue velocity w under an independent Gaussian
     perturbation of the matrix, at spectral location z.
 
@@ -222,9 +212,7 @@ def sensitivity_density(n: int, w_abs_sq: float, z_abs_sq: float,
     quadrature's absolute tolerance does not swamp small values.
     """
     n = integer("n", n, 2)
-    w2 = float(w_abs_sq)
-    if not w2 >= 0.0:   # also rejects NaN
-        raise DomainError(f"|w|^2 must be >= 0, got {w_abs_sq}")
+    w2 = real("|w|^2", w_abs_sq, 0.0)
     rho = density_complex(n, z_abs_sq)
     if rho == 0.0:   # underflowed, and the density with it
         return 0.0
@@ -235,5 +223,5 @@ def sensitivity_density(n: int, w_abs_sq: float, z_abs_sq: float,
         p = np.exp(log_pref + specfun.log_tau_form(s, x, c, t))
         return n / math.pi * om * np.exp(-n * w2 * om) * p / rho
 
-    val, _ = integrate_semi_infinite(integrand, spec)
+    val, _ = integrate_semi_infinite(integrand)
     return val * rho

@@ -28,19 +28,13 @@ import math
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, integer
+from .errors import integer, real
 
 _C0 = 1.0 / (2.0 * math.sqrt(2.0 * math.pi))
 _LN_C0 = math.log(_C0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def _as_t(t) -> np.ndarray:
-    """The overlap variable as a float array; every entry must be finite and > 0."""
-    tb = np.asarray(t, dtype=float)
-    if not ((tb > 0.0) & (tb < np.inf)).all():   # also rejects NaN
-        raise DomainError("overlap variable t must be finite and > 0")
-    return tb
+#: largest |lambda| whose square is a finite double
+_LAM_MAX = math.sqrt(np.finfo(float).max)
 
 
 def _tau_form(n: int, a):
@@ -51,8 +45,6 @@ def _tau_form(n: int, a):
     scaled by the largest term of the two, which log_pref carries.
     """
     a = np.asarray(a, dtype=float)
-    if not ((a >= 0.0) & (a < np.inf)).all():   # also rejects NaN
-        raise DomainError(f"lambda^2 must be finite, got {a}")
     k = np.arange(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_u = k * np.log(a)[..., None] - np.array([math.lgamma(j + 1.0) for j in k])
@@ -70,8 +62,9 @@ def jpd_real(n: int, t, lam):
     """
     n = integer("n", n, 2)
     scalar = np.isscalar(t) and np.isscalar(lam)
-    log_pref, s, x, c = _tau_form(n, np.asarray(lam, dtype=float) ** 2)
-    out = np.exp(log_pref + specfun.log_tau_form(s, x, c, _as_t(t)))
+    t, lam = real("t", t, 0.0, lo_open=True), real("lambda", lam, -_LAM_MAX, _LAM_MAX)
+    log_pref, s, x, c = _tau_form(n, lam * lam)
+    out = np.exp(log_pref + specfun.log_tau_form(s, x, c, t))
     return float(out) if scalar else out
 
 
@@ -83,9 +76,9 @@ def jpd_real_cumulative(n: int, t, lam):
     """
     n = integer("n", n, 2)
     scalar = np.isscalar(t) and np.isscalar(lam)
-    tb = _as_t(t)
-    log_pref, s, x, c = _tau_form(n, np.asarray(lam, dtype=float) ** 2)
-    out = np.exp(log_pref + specfun.log_lower_integral(s, x, tb / (1.0 + tb), c))
+    t, lam = real("t", t, 0.0, lo_open=True), real("lambda", lam, -_LAM_MAX, _LAM_MAX)
+    log_pref, s, x, c = _tau_form(n, lam * lam)
+    out = np.exp(log_pref + specfun.log_lower_integral(s, x, t / (1.0 + t), c))
     return float(out) if scalar else out
 
 
@@ -107,7 +100,7 @@ def density_real(n: int, lam):
     Elementwise over lambda; returns float for scalar input.
     """
     n = integer("n", n, 2)
-    lam_abs = np.abs(np.asarray(lam, dtype=float))
+    lam_abs = np.abs(real("lambda", lam, -_LAM_MAX, _LAM_MAX))
     a = lam_abs * lam_abs
     term1 = specfun.reg_gamma_q(n - 1, a) / _SQRT_2PI
     with np.errstate(divide="ignore"):
@@ -119,10 +112,8 @@ def density_real(n: int, lam):
 
 def jpd_real_bulk(s, x):
     """Bulk scaling limit of P: lim N P(N s, sqrt(N) x); zero for |x| >= 1."""
-    s = np.asarray(s, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if not (np.all(s > 0.0) and np.all(np.abs(x) >= 0.0)):   # also rejects NaN
-        raise DomainError("bulk overlap s must be > 0 and x a number")
+    s = np.asarray(real("s", s, 0.0, lo_open=True))
+    x = np.asarray(real("x", x))
     c = 1.0 - x * x
     with np.errstate(over="ignore"):
         val = _C0 * c * np.exp(-c / (2.0 * s)) / (s * s)
@@ -130,9 +121,8 @@ def jpd_real_bulk(s, x):
     return float(out[()]) if out.ndim == 0 else out
 
 
-def _edge_real_scalar(sigma: float, delta: float) -> float:
-    if not (0.0 < sigma < math.inf and math.isfinite(delta)):   # also rejects NaN
-        raise DomainError(f"edge needs finite sigma > 0 and finite delta, got ({sigma}, {delta})")
+def _edge_real_scalar(sigma, delta) -> float:
+    sigma, delta = real("sigma", sigma, 0.0, lo_open=True), real("delta", delta)
     expo = -0.25 / (sigma * sigma) + delta / sigma
     t1 = math.exp(expo - 2.0 * delta * delta) / _SQRT_2PI
     coef = 0.5 * (1.0 / sigma - 2.0 * delta)
@@ -147,9 +137,8 @@ def _edge_real_scalar(sigma: float, delta: float) -> float:
 def jpd_real_edge(sigma, delta):
     """Edge scaling limit of P: lim sqrt(N) P(sqrt(N) sigma, sqrt(N) + delta)."""
     if np.isscalar(sigma) and np.isscalar(delta):
-        return _edge_real_scalar(float(sigma), float(delta))
-    elementwise = np.vectorize(lambda s, d: _edge_real_scalar(float(s), float(d)), otypes=[float])
-    return elementwise(sigma, delta)
+        return _edge_real_scalar(sigma, delta)
+    return np.vectorize(_edge_real_scalar, otypes=[float])(sigma, delta)
 
 
 def density_real_edge(delta) -> float:
@@ -158,9 +147,7 @@ def density_real_edge(delta) -> float:
     (1/(2 sqrt(2 pi))) [erfc(delta sqrt(2)) + e^{-delta^2}(1 + erf(delta))/sqrt(2)];
     tends to the bulk value 1/sqrt(2 pi) as delta -> -inf and to 0 as delta -> +inf.
     """
-    d = float(delta)
-    if math.isnan(d):
-        raise DomainError("edge offset delta must be a number")
+    d = real("delta", delta)
     first = specfun.erfc(math.sqrt(2.0) * d)
     if d >= 0.0:
         second = math.exp(-d * d) * (1.0 + specfun.erf(d)) / math.sqrt(2.0)

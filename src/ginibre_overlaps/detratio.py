@@ -54,7 +54,7 @@ import numpy as np
 from . import analytic_complex, analytic_real, ensemble, specfun
 from .analytic_real import _log_eks_integral
 from .ensemble import EnsembleSpec, sample_ginibre_batch
-from .errors import DomainError, integer
+from .errors import DomainError, integer, real
 from .quadrature import DEFAULT_SPEC, QuadSpec, integrate_semi_infinite
 
 _L_OF_BETA = {1: (0, 2), 2: (0, 1, 2)}
@@ -88,8 +88,7 @@ class DetRatioQuery:
             raise DomainError("beta = 1 requires a real spectral parameter z")
         if not cmath.isfinite(complex(self.z)):
             raise DomainError(f"spectral parameter z must be finite, got {self.z}")
-        if not 0.0 <= self.p < math.inf:   # also rejects NaN
-            raise DomainError(f"shift p must be finite and >= 0, got {self.p}")
+        object.__setattr__(self, "p", real("p", self.p, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -201,18 +200,16 @@ def detratio_mc_sweep(n: int, beta: int, L: int, z, p_values, n_samples: int, *,
     chunk)), so the other L of the same stream cost no further draws; see
     _sample_log_values for what each matrix takes.  The moments are scaled
     here, so only an L whose values exceed the double range raises."""
-    p_values = [float(p) for p in p_values]
-    queries = [DetRatioQuery(n=n, beta=beta, L=L, z=z, p=p) for p in p_values]
-    for q in queries:
-        if q.p <= 0.0:
-            raise DomainError("Monte Carlo estimation requires p > 0")
+    # the estimator divides by q = 2p/beta, so p > 0 here
+    queries = [DetRatioQuery(n=n, beta=beta, L=L, z=z, p=real("p", p, 0.0, lo_open=True))
+               for p in p_values]
     # at least 1e3 samples for a meaningful estimate
     n_samples = integer("n_samples", n_samples, 1000)
     chunk = integer("chunk", chunk, 1)
     zc = complex(z) if beta == 2 else complex(z).real
     out = []
-    for cnt, top, mean, m2 in _stream_moments(n, beta, zc, tuple(p_values), n_samples,
-                                               seed, chunk)[L]:
+    for cnt, top, mean, m2 in _stream_moments(n, beta, zc, tuple(q.p for q in queries),
+                                               n_samples, seed, chunk)[L]:
         try:
             scale = math.exp(top)
         except OverflowError:
@@ -280,7 +277,7 @@ def detratio_real_l2_p0(n: int, lam: float) -> float:
                               + |lam|^n int_0^{|lam|} e^{-u^2/2} u^{n-1} du]
     """
     n = integer("n", n, 1)
-    lam = abs(float(lam))
+    lam = abs(real("lambda", lam))
     a = lam * lam
     ln_norm = _LN2 - 0.5 * n * _LN2 - specfun.log_gamma(0.5 * n)
     term1 = 0.5 * a + specfun.log_gamma_upper(n, a)
@@ -295,7 +292,7 @@ def mean_det_sq_real(n: int, lam: float) -> float:
     """<det^2(lam I - G)> over the real Ginibre ensemble:
     lam^{2n} + e^{lam^2} n Gamma(n, lam^2), assembled in log space."""
     n = integer("n", n, 1)
-    lam = abs(float(lam))
+    lam = abs(real("lambda", lam))
     a = lam * lam
     term2 = math.log(n) + a + specfun.log_gamma_upper(n, a)
     if lam == 0.0:

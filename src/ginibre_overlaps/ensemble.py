@@ -247,13 +247,17 @@ def _solve_or_nan(m: np.ndarray, b: np.ndarray) -> np.ndarray:
         return x
 
 
-def _bordered_pass(g: np.ndarray, lam: np.ndarray, norm_g: np.ndarray):
-    """t and the check flag of eigenvalue lam[k] of matrix g[k], every k;
-    norm_g[k] is the Frobenius norm of g[k]."""
-    count, n, _ = g.shape
+def _bordered_pass(mats: np.ndarray, rows: np.ndarray, lam: np.ndarray, norm_g: np.ndarray):
+    """t and the check flag of eigenvalue lam[k] of matrix mats[rows[k]], every
+    k; norm_g[k] is the Frobenius norm of mats[rows[k]]."""
+    count, n = len(rows), mats.shape[1]
     m = np.zeros((count, n + 1, n + 1), dtype=lam.dtype)
     shifted = m[:, :n, :n]
-    shifted[...] = g
+    # G straight from the stack, with no gathered copy of it (rows are valid,
+    # so clip changes no index); take casts no float into complex, so a real G
+    # fills the real part
+    np.take(mats, rows, axis=0, out=shifted if np.iscomplexobj(mats) else shifted.real,
+            mode="clip")
     diag = np.arange(n)
     shifted[:, diag, diag] -= lam[:, None]
     m[:, :n, n] = m[:, n, :n] = 1.0
@@ -307,7 +311,7 @@ def _overlaps_bordered(mats: np.ndarray, rows: np.ndarray, lam: np.ndarray):
         step = max(1, min(len(mats), BATCH_BYTES // (values.itemsize * (n + 1) ** 2)))
         for lo in range(0, pairs.size, step):
             k = pairs[lo:lo + step]
-            t[k], ok[k] = _bordered_pass(mats[rows[k]], values[k], norms[rows[k]])
+            t[k], ok[k] = _bordered_pass(mats, rows[k], values[k], norms[rows[k]])
     return t, ok
 
 

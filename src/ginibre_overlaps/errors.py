@@ -1,8 +1,12 @@
-"""Exception types shared across the package, and its one rule for integer
-arguments: :func:`integer` checks every N, beta, seed, matrix index and
-count, so each raises DomainError the same way."""
+"""Exception types shared across the package, and its two rules for
+arguments, so each raises DomainError the same way: :func:`integer` checks
+every N, beta, seed, matrix index and count, and :func:`real` every real
+argument (t, lambda, |z|^2, the scaling variables, tolerances, bounds and
+grids) once, where it enters the package."""
 
 import math
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -20,6 +24,25 @@ def integer(name: str, value, lo: int, hi=math.inf) -> int:
     if not ok:
         raise DomainError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
     return int(value)
+
+
+def real(name: str, value, lo=-math.inf, hi=math.inf, *, lo_open=False, finite=True):
+    """value as a float (a float array for array-like input) when every entry
+    is a real number in [lo, hi] ((lo, hi] with lo_open), and finite unless
+    finite=False; else DomainError naming the argument (NaN, str, bytes, None
+    and complex values included)."""
+    x = np.asarray(value)
+    if x.dtype.kind in "biuf":   # str, bytes, None and complex are not
+        x = x.astype(float, copy=False)
+        ok = (x > lo if lo_open else x >= lo) & (x <= hi)   # NaN fails both
+        if finite:
+            ok &= np.isfinite(x)
+        if ok.all():
+            return x if x.ndim else float(x)
+        value = float(x[~ok][0])   # the first entry that fails
+    kind = "a finite real" if finite else "a real"
+    raise DomainError(f"{name} must be {kind} number in {'(' if lo_open else '['}{lo}, {hi}], "
+                      f"got {value!r}")
 
 
 class QuadratureConvergenceError(RuntimeError):

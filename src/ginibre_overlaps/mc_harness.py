@@ -37,7 +37,7 @@ from .ensemble import (
     near_real,
     sample_ginibre_batch,
 )
-from .errors import DomainError, EmptyWindowError, InsufficientSamplesError, integer
+from .errors import DomainError, EmptyWindowError, InsufficientSamplesError, integer, real
 # integrate_finite is unused here: the benchmark's mc_harness.cdf_inner_s and
 # mc_harness.cdf_inner_calls are the spans of this module's binding of it, and
 # read 0 now that the t-integral is in closed form.  The binding goes after the
@@ -71,18 +71,16 @@ class Window:
     def __post_init__(self):
         if self.kind not in (REAL_INTERVAL, ANNULUS):
             raise DomainError(f"unknown window kind {self.kind!r}")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise DomainError(f"window {self.kind}:{self.lo}:{self.hi} needs finite bounds")
-        if not self.lo < self.hi:
-            raise DomainError("window requires lo < hi")
-        if self.kind == ANNULUS and self.lo < 0.0:
-            raise DomainError("annulus radii must be >= 0")
+        # stored back as plain floats, with annulus radii >= 0 and lo < hi
+        lo = real("window lo", self.lo, 0.0 if self.kind == ANNULUS else -math.inf)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", real("window hi", self.hi, lo, lo_open=True))
 
 
-def default_bin_edges(n: int, bins: int = 120) -> np.ndarray:
-    """Log-spaced t bins spanning [1e-3 n, 1e5 n]: the heavy tail needs
+def default_bin_edges(n: int) -> np.ndarray:
+    """120 log-spaced t bins spanning [1e-3 n, 1e5 n]: the heavy tail needs
     decades of range while the n-scaling keeps the bulk resolved."""
-    return np.geomspace(1e-3 * n, 1e5 * n, bins + 1)
+    return np.geomspace(1e-3 * n, 1e5 * n, 121)
 
 
 @dataclass
@@ -225,9 +223,10 @@ def run_campaign(spec: EnsembleSpec, n_matrices: int, window: Window, *,
     threads = integer("threads", threads, 1)
     start_index = integer("start_index", start_index, 0)
     chunk = integer("chunk", chunk, 1)
-    edges = default_bin_edges(spec.n) if bin_edges is None else np.asarray(bin_edges, dtype=float)
-    if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0) or edges[0] <= 0:
-        raise DomainError("bin edges must be a strictly increasing positive sequence")
+    edges = default_bin_edges(spec.n) if bin_edges is None else bin_edges
+    edges = np.asarray(real("bin_edges", edges, 0.0, lo_open=True))
+    if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
+        raise DomainError("bin_edges must be a strictly increasing sequence of >= 2 edges")
     stop = start_index + n_matrices
     if threads == 1:
         hist = _campaign_range(spec, start_index, stop, window, edges, chunk)
@@ -288,9 +287,9 @@ def analytic_conditional_cdf(spec: EnsembleSpec, window: Window, t_grid) -> np.n
         raise DomainError("no closed-form law for complex eigenvalues of the real ensemble")
     if spec.beta == 2 and window.kind != ANNULUS:
         raise DomainError("complex-ensemble windows must be annuli")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid <= 0.0) or np.any(np.diff(t_grid) <= 0):
-        raise DomainError("t_grid must be positive and increasing")
+    t_grid = np.asarray(real("t_grid", t_grid, 0.0, lo_open=True))
+    if np.any(np.diff(t_grid) <= 0):
+        raise DomainError("t_grid must be increasing")
 
     nodes, weights, mass = _outer_nodes(window, spec)
     if spec.beta == 1:

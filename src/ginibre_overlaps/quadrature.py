@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureConvergenceError, integer
+from .errors import DomainError, QuadratureConvergenceError, integer, real
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1]
 _XK = np.array([
@@ -55,8 +55,9 @@ class QuadSpec:
     max_subdivisions: int = 2000
 
     def __post_init__(self):
-        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
-            raise DomainError("QuadSpec requires finite positive tolerances")
+        # each is stored back as a plain float or int
+        for name in ("abs_tol", "rel_tol"):
+            object.__setattr__(self, name, real(name, getattr(self, name), 0.0, lo_open=True))
         object.__setattr__(self, "max_subdivisions",
                            integer("max_subdivisions", self.max_subdivisions, 1))
 
@@ -143,10 +144,9 @@ def _adaptive(f, breakpoints, spec: QuadSpec):
 
 
 def integrate_finite(f, a: float, b: float, spec: QuadSpec = DEFAULT_SPEC):
-    """Integrate a vectorized f over [a, b].  Returns (value, err_est)."""
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError(f"integrate_finite requires finite a < b, got [{a}, {b}]")
-    return _adaptive(f, [a, b], spec)[:2]
+    """Integrate a vectorized f over [a, b], a < b finite.  Returns (value, err_est)."""
+    a = real("a", a)
+    return _adaptive(f, [a, real("b", b, a, lo_open=True)], spec)[:2]
 
 
 def integrate_semi_infinite(f, spec: QuadSpec = DEFAULT_SPEC,
@@ -159,9 +159,7 @@ def integrate_semi_infinite(f, spec: QuadSpec = DEFAULT_SPEC,
     """
     m = 1
     if singular_exponent_at_zero is not None:
-        alpha = float(singular_exponent_at_zero)
-        if not -1.0 < alpha < math.inf:   # also rejects NaN
-            raise DomainError("endpoint exponent must be finite and > -1 for integrability")
+        alpha = real("singular_exponent_at_zero", singular_exponent_at_zero, -1.0, lo_open=True)
         if alpha < 0.0:
             m = max(1, math.ceil(1.0 / (1.0 + alpha) - 1e-12))
 

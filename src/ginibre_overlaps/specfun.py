@@ -1,17 +1,19 @@
 """Special functions for the overlap densities: what :mod:`math` lacks.
 
 Log-gamma, erf and erfc come from :mod:`math` (``log_gamma`` only adds the
-x > 0 domain check).  This module adds one series kernel, the log of the
-truncated gamma integral int_0^T tau^{s-1} e^{-x tau} sum_m c_m (1-tau)^m
-dtau with c_m >= 0, into which the overlap densities integrate under
-tau = t/(1+t); on it, the regularized upper incomplete gamma Q(n, a) of
-integer order, computed as log Q so that it stays finite where Q itself
-underflows (a past ~n + 700), accurate to ~1e-13 relative for n up to a few
-hundred; the log of the integrand itself at tau = t/(1+t), the form every
-overlap density takes (log_tau_form); and the scaled complementary error
-function erfcx.  The kernel's series loop does arithmetic, not bookkeeping:
-a block of terms for a flat run of elements at once is a few passes over
-one contiguous array, whose runs of terms merge in pairs.
+domain rule errors.real for finite x > 0, which each function here but the
+integrand log_tau_form applies to its real arguments).  This module adds one
+series kernel, the log of the truncated gamma integral int_0^T tau^{s-1}
+e^{-x tau} sum_m c_m (1-tau)^m dtau with c_m >= 0, into which the overlap
+densities integrate under tau = t/(1+t); on it, the regularized upper
+incomplete gamma Q(n, a) of integer order, computed as log Q so that it
+stays finite where Q itself underflows (a past ~n + 700), accurate to ~1e-13
+relative for n up to a few hundred; the log of the integrand itself at tau =
+t/(1+t), the form every overlap density takes (log_tau_form); and the scaled
+complementary error function erfcx.  The kernel's series loop does
+arithmetic, not bookkeeping: a block of terms for a flat run of elements at
+once is a few passes over one contiguous array, whose runs of terms merge in
+pairs.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 import numpy as np
 
 from . import ensemble
-from .errors import DomainError, integer
+from .errors import DomainError, integer, real
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -30,11 +32,8 @@ erfc = math.erfc
 
 
 def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0."""
-    x = float(x)
-    if not x > 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+    """Natural log of the Gamma function for finite x > 0."""
+    return math.lgamma(real("x", x, 0.0, lo_open=True))
 
 
 #: series terms per block, a power of 2 (the block's runs of terms merge in
@@ -69,14 +68,12 @@ def log_lower_integral(s: float, x, T, c=(1.0,)):
     per weight and element, fits in ensemble.BATCH_BYTES, so memory does
     not grow with their number.
     """
-    x = np.asarray(x, dtype=float)
-    T = np.asarray(T, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if not (0.0 < s < math.inf and c.ndim and c.shape[-1]
-            and ((0.0 <= c) & (c < np.inf)).all() and ((0.0 <= x) & (x < np.inf)).all()
-            and ((0.0 < T) & (T <= 1.0)).all()):   # also rejects NaN
-        raise DomainError(f"log_lower_integral needs finite s > 0, finite x >= 0, "
-                          f"0 < T <= 1 and a nonempty finite c >= 0 (s = {s})")
+    s = real("s", s, 0.0, lo_open=True)
+    x = np.asarray(real("x", x, 0.0))
+    T = np.asarray(real("T", T, 0.0, 1.0, lo_open=True))
+    c = np.asarray(real("c", c, 0.0))
+    if not (c.ndim and c.shape[-1]):
+        raise DomainError(f"c needs at least one weight, got shape {c.shape}")
     shape = np.broadcast(x, T, c[..., 0]).shape
     n_w = c.shape[-1]
     # flat runs of the broadcast in C order; an element's weights are adjacent
@@ -173,9 +170,7 @@ def log_reg_gamma_q(n: int, a):
     a <= n, log1p(-P) with P = a^n e^{log_lower_integral}/Gamma(n) < 0.64.
     """
     n = integer("n", n, 1)
-    a = np.asarray(a, dtype=float)
-    if not ((a >= 0.0) & (a < np.inf)).all():   # also rejects NaN
-        raise DomainError(f"reg_gamma_q requires finite a >= 0, got {a}")
+    a = np.asarray(real("a", a, 0.0))
     out = np.empty(a.shape)
     up = a > n
     if up.any():
@@ -264,11 +259,9 @@ def erfcx(x: float) -> float:
 
     Decays like 1/(x sqrt(pi)) for large positive x, to 0 at +inf; grows
     like 2 e^{x^2} for negative x (and overflows once x < -26.6, as the true
-    value does).  NaN raises DomainError.
+    value does).  NaN and non-real values raise DomainError.
     """
-    x = float(x)
-    if math.isnan(x):
-        raise DomainError("erfcx requires a number, got nan")
+    x = real("x", x, finite=False)
     if x < 0.0:
         return 2.0 * math.exp(x * x) - erfcx(-x)
     if x < _ERFCX_CROSSOVER:

@@ -1,11 +1,16 @@
-"""One rule for integer arguments (errors.integer), and finite real arguments.
+"""One rule for integer arguments (errors.integer), one for real ones (errors.real).
 
 Every public integer argument takes 2.0 and np.int64(2) as 2 and rejects
-non-integral, non-finite and non-numeric values with DomainError; t, |z|^2
-and the incomplete-gamma argument must be finite, never a silent NaN.
+non-integral, non-finite and non-numeric values with DomainError.  Every
+real argument (t, lambda, |z|^2, the scaling variables, tolerances, bounds
+and grids) rejects NaN, infinities that are not a documented limit, values
+past its bounds, strings, None and complex values with DomainError naming
+it, never a silent NaN or 0, and takes np.float64, int and 0-d input as the
+plain float.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,8 +19,8 @@ from ginibre_overlaps import analytic_complex as ac
 from ginibre_overlaps import analytic_real as ar
 from ginibre_overlaps import detratio, mc_harness, specfun
 from ginibre_overlaps.ensemble import EnsembleSpec, sample_ginibre, sample_ginibre_batch
-from ginibre_overlaps.errors import DomainError, integer
-from ginibre_overlaps.quadrature import QuadSpec, integrate_semi_infinite
+from ginibre_overlaps.errors import DomainError, integer, real
+from ginibre_overlaps.quadrature import QuadSpec, integrate_finite, integrate_semi_infinite
 
 _SPEC = EnsembleSpec(n=3, beta=2, seed=4)
 _WINDOW = mc_harness.Window(kind=mc_harness.ANNULUS, lo=0.0, hi=100.0)
@@ -167,3 +172,138 @@ def test_empty_location_array_gives_empty_broadcast(cumulative):
     assert cumulative(4, 1.0, np.empty(0)).shape == (0,)
     with pytest.raises(DomainError):
         cumulative(2.5, [1.0, 2.0], np.empty((0, 1)))
+
+
+class TestRealRule:
+    @pytest.mark.parametrize("value", [2, 2.0, np.float64(2.0), np.int64(2), np.array(2.0), True])
+    def test_real_scalars_return_plain_float(self, value):
+        out = real("x", value, 0.0)
+        assert out == float(value) and type(out) is float
+
+    def test_array_like_returns_float_array(self):
+        out = real("x", [1, 2.5], 0.0)
+        assert out.dtype == float and out.tolist() == [1.0, 2.5]
+        assert real("x", np.empty((0, 2))).shape == (0, 2)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, 3.5, "1", b"1", None,
+                                       1j, np.complex128(1.0), [1.0, math.nan], [1.0, None]])
+    def test_rejected_values_name_the_argument(self, value):
+        with pytest.raises(DomainError, match=r"^x must be a finite real number in \(0.0, 3.0\]"):
+            real("x", value, 0.0, 3.0, lo_open=True)
+
+    def test_infinite_limits_when_not_finite(self):
+        assert real("x", -math.inf, finite=False) == -math.inf
+        assert real("x", [1.0, math.inf], finite=False).tolist() == [1.0, math.inf]
+        with pytest.raises(DomainError, match=r"^x must be a real number"):
+            real("x", math.nan, finite=False)
+
+
+_LAM_PAST = 1e155   # |lambda| past sqrt(max double), where lambda^2 overflows
+_CDF_WINDOW = mc_harness.Window(kind=mc_harness.ANNULUS, lo=0.0, hi=1.0)
+
+# (call with the real argument under test, its name in messages, a valid
+# integral value, values past its bounds, the non-finite or non-numeric
+# values it takes on purpose: erfcx's +-inf limits, "no hint" for the exponent)
+_REALS = {
+    "jpd_real t": (lambda v: ar.jpd_real(4, v, 0.5), "t", 1, [0.0, -1.0], ()),
+    "jpd_real lambda":
+        (lambda v: ar.jpd_real(4, 1.0, v), "lambda", 1, [_LAM_PAST, -_LAM_PAST], ()),
+    "jpd_real_cumulative t": (lambda v: ar.jpd_real_cumulative(4, v, 0.5), "t", 1, [0.0], ()),
+    "jpd_real_cumulative lambda":
+        (lambda v: ar.jpd_real_cumulative(4, 1.0, v), "lambda", 1, [_LAM_PAST], ()),
+    "density_real lambda": (lambda v: ar.density_real(4, v), "lambda", 1, [-_LAM_PAST], ()),
+    "jpd_real_bulk s": (lambda v: ar.jpd_real_bulk(v, 0.5), "s", 1, [0.0, -1.0], ()),
+    "jpd_real_bulk x": (lambda v: ar.jpd_real_bulk(0.5, v), "x", 0, [], ()),
+    "jpd_real_edge sigma": (lambda v: ar.jpd_real_edge(v, 0.3), "sigma", 1, [0.0, -1.0], ()),
+    "jpd_real_edge delta": (lambda v: ar.jpd_real_edge(0.7, v), "delta", 0, [], ()),
+    "density_real_edge delta": (lambda v: ar.density_real_edge(v), "delta", 1, [], ()),
+    "jpd_complex t": (lambda v: ac.jpd_complex(4, v, 0.5), "t", 1, [0.0, -1.0], ()),
+    "jpd_complex |z|^2": (lambda v: ac.jpd_complex(4, 1.0, v), "|z|^2", 1, [-1.0], ()),
+    "jpd_complex_cumulative t":
+        (lambda v: ac.jpd_complex_cumulative(4, v, 0.5), "t", 1, [0.0], ()),
+    "jpd_complex_cumulative |z|^2":
+        (lambda v: ac.jpd_complex_cumulative(4, 1.0, v), "|z|^2", 1, [-1.0], ()),
+    "jpd_complex_zero t": (lambda v: ac.jpd_complex_zero(4, v), "t", 1, [0.0, -1.0], ()),
+    "density_complex |z|^2": (lambda v: ac.density_complex(4, v), "|z|^2", 1, [-1.0], ()),
+    "jpd_complex_bulk s": (lambda v: ac.jpd_complex_bulk(v, 0.5), "s", 1, [0.0, -1.0], ()),
+    "jpd_complex_bulk |w|": (lambda v: ac.jpd_complex_bulk(1.0, v), "|w|", 0, [], ()),
+    "jpd_complex_edge sigma":
+        (lambda v: ac.jpd_complex_edge(v, 0.3), "sigma", 1, [0.0, -1.0], ()),
+    "jpd_complex_edge delta": (lambda v: ac.jpd_complex_edge(0.7, v), "delta", 0, [], ()),
+    "density_complex_edge delta": (lambda v: ac.density_complex_edge(v), "delta", 1, [], ()),
+    "sensitivity_density |w|^2":
+        (lambda v: ac.sensitivity_density(4, v, 0.5), "|w|^2", 1, [-1.0], ()),
+    "sensitivity_density |z|^2":
+        (lambda v: ac.sensitivity_density(4, 0.5, v), "|z|^2", 1, [-1.0], ()),
+    "log_gamma x": (lambda v: specfun.log_gamma(v), "x", 3, [0.0, -1.0], ()),
+    "log_reg_gamma_q a": (lambda v: specfun.log_reg_gamma_q(4, v), "a", 2, [-1.0], ()),
+    "reg_gamma_q a": (lambda v: specfun.reg_gamma_q(4, [0.5, v]), "a", 2, [-1.0], ()),
+    "log_lower_integral s":
+        (lambda v: specfun.log_lower_integral(v, 1.0, 0.5, (1.0, 2.0)), "s", 2, [0.0], ()),
+    "log_lower_integral x":
+        (lambda v: specfun.log_lower_integral(1.5, v, 0.5, (1.0, 2.0)), "x", 1, [-1.0], ()),
+    "log_lower_integral T":
+        (lambda v: specfun.log_lower_integral(1.5, 2.0, v, (1.0, 2.0)), "T", 1, [0.0, 1.5], ()),
+    "log_lower_integral c":
+        (lambda v: specfun.log_lower_integral(1.5, 2.0, 0.5, [1.0, v]), "c", 1, [-1.0], ()),
+    "erfcx x": (lambda v: specfun.erfcx(v), "x", 1, [], (math.inf, -math.inf)),
+    "DetRatioQuery p":
+        (lambda v: detratio.detratio_closed(detratio.DetRatioQuery(n=3, beta=2, L=1, z=0.5, p=v)),
+         "p", 1, [-1.0], ()),
+    "detratio_mc_sweep p":
+        (lambda v: detratio.detratio_mc_sweep(4, 2, 1, 0.5, [v], 2000), "p", 1, [0.0], ()),
+    "detratio_real_l2_p0 lambda":
+        (lambda v: detratio.detratio_real_l2_p0(4, v), "lambda", 1, [], ()),
+    "mean_det_sq_real lambda": (lambda v: detratio.mean_det_sq_real(4, v), "lambda", 1, [], ()),
+    "Window lo": (lambda v: repr(mc_harness.Window(kind=mc_harness.ANNULUS, lo=v, hi=2.0)),
+                  "window lo", 1, [-0.5], ()),
+    "Window hi": (lambda v: repr(mc_harness.Window(kind=mc_harness.REAL_INTERVAL, lo=0.0, hi=v)),
+                  "window hi", 1, [0.0, -1.0], ()),
+    "QuadSpec abs_tol": (lambda v: repr(QuadSpec(abs_tol=v)), "abs_tol", 1, [0.0, -1e-3], ()),
+    "QuadSpec rel_tol": (lambda v: repr(QuadSpec(rel_tol=v)), "rel_tol", 1, [0.0, -1e-3], ()),
+    "integrate_finite a": (lambda v: integrate_finite(np.cos, v, 2.0), "a", 0, [], ()),
+    "integrate_finite b": (lambda v: integrate_finite(np.cos, 0.0, v), "b", 2, [0.0, -1.0], ()),
+    "integrate_semi_infinite singular_exponent_at_zero":
+        (lambda v: integrate_semi_infinite(lambda t: np.exp(-t), singular_exponent_at_zero=v),
+         "singular_exponent_at_zero", 0, [-1.0, -2.0], (None,)),
+    "analytic_conditional_cdf t_grid":
+        (lambda v: mc_harness.analytic_conditional_cdf(EnsembleSpec(4, 2), _CDF_WINDOW, [v, 2.0]),
+         "t_grid", 1, [0.0, -1.0], ()),
+    "run_campaign bin_edges":
+        (lambda v: _hist(mc_harness.run_campaign(_SPEC, 5, _WINDOW, bin_edges=[v, 10.0, 100.0])),
+         "bin_edges", 1, [0.0, -1.0], ()),
+}
+
+
+def _equal(a, b):
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(_equal(x, y) for x, y in zip(a, b))
+    return a == b if isinstance(a, str) else np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", list(_REALS))
+class TestRealArguments:
+    def _rejects(self, name, value):
+        call, arg = _REALS[name][:2]
+        message = rf"^{re.escape(arg)} must be a (finite )?real number"
+        with pytest.raises(DomainError, match=message):
+            call(value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "1", None, 1j],
+                             ids=["nan", "inf", "-inf", "str", "None", "complex"])
+    def test_non_finite_or_non_real_rejected(self, name, value):
+        call, _, _, _, taken = _REALS[name]
+        if value in taken:
+            call(value)
+        else:
+            self._rejects(name, value)
+
+    def test_values_past_the_bounds_rejected(self, name):
+        for value in _REALS[name][3]:
+            self._rejects(name, value)
+
+    def test_numeric_types_act_as_the_float(self, name):
+        call, _, k, _, _ = _REALS[name]
+        expected = call(float(k))
+        for value in (np.float64(k), int(k), np.array(float(k))):
+            assert _equal(call(value), expected), repr(value)
