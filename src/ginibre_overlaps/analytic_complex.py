@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun
-from .errors import integer, real
+from .errors import DomainError, integer, real
 from .quadrature import integrate_semi_infinite
 
 
@@ -62,21 +62,17 @@ def _index_polys(i, j):
 
 @lru_cache(maxsize=256)
 def _log_weights(n: int) -> np.ndarray:
-    """(3, 2n-2) read-only array: log of the a^k coefficient, k = 0..2n-3, of
-    e^{2a} W / (Gamma(n) Gamma(n-1)) for W = d1, D1, D2 (rows); -inf
-    where a row has no such power."""
+    """(3, 2n-3) read-only array: log of the a^k coefficient, k = 0..2n-4, of
+    e^{2a} W / (Gamma(n) Gamma(n-1)) for W = d1, D1, D2 (rows)."""
     m, ln2 = n - 2, math.log(2.0)
     p = np.arange(m + 1)
     k = p[:, None] + p
-    lg = np.array([math.lgamma(j + 1.0) for j in range(2 * m + 2)])
+    lg = np.array([math.lgamma(j + 1.0) for j in range(2 * m + 1)])
     # 1/(p! q!) = 2^k/k! times C(k, p)/2^k <= 1, which cannot overflow
     share = np.exp(lg[k] - lg[p][:, None] - lg[p] - ln2 * k)
-    # one -inf column past the top power 2m: without it numpy regroups the
-    # sums in _checked_logs, which moves the last bits of the weights
-    sums = [np.bincount(k.ravel(), (f * share).ravel(), minlength=2 * m + 2)
+    sums = [np.bincount(k.ravel(), (f * share).ravel())
             for f in _index_polys(m - p[:, None], m - p)]
-    with np.errstate(divide="ignore"):
-        out = np.log(sums) + ln2 * np.arange(2 * m + 2) - lg - math.log(2.0 * (m + 1))
+    out = np.log(sums) + ln2 * np.arange(2 * m + 1) - lg - math.log(2.0 * (m + 1))
     out.flags.writeable = False
     return out
 
@@ -172,33 +168,28 @@ def jpd_complex_bulk(s, w_abs):
     return float(out[()]) if out.ndim == 0 else out
 
 
-def _edge_complex_scalar(sigma, delta) -> float:
-    sigma, delta = real("sigma", sigma, 0.0, lo_open=True), real("delta", delta)
-    big = 1.0 - 2.0 * sigma * delta
-    gauss = -big * big / (2.0 * sigma * sigma)
-    sq2d = math.sqrt(2.0) * delta
-    t1 = (2.0 * sigma * sigma - big) / math.pi * math.exp(gauss - 2.0 * delta * delta)
-    t2 = -(4.0 * delta * sigma**2 - big * (2.0 * delta + sigma)) / math.sqrt(2.0 * math.pi) \
-        * specfun.erfc(sq2d) * math.exp(gauss)
-    coef3 = 0.5 * (big * big - sigma * sigma)
-    if delta >= 0.0:
-        t3 = coef3 * specfun.erfcx(sq2d) * specfun.erfc(sq2d) * math.exp(gauss)
-    else:
-        # 2 delta^2 + gauss = 2 delta/sigma - 1/(2 sigma^2) exactly
-        t3 = coef3 * specfun.erfc(sq2d) ** 2 \
-            * math.exp(2.0 * delta / sigma - 0.5 / (sigma * sigma))
-    return max((t1 + t2 + t3) / (2.0 * math.pi * sigma**5), 0.0)
-
-
 def jpd_complex_edge(sigma, delta):
-    """Edge limit of the complex joint density at |z| = sqrt(N) + delta."""
-    if np.isscalar(sigma) and np.isscalar(delta):
-        return _edge_complex_scalar(sigma, delta)
-    return np.vectorize(_edge_complex_scalar, otypes=[float])(sigma, delta)
+    """Edge limit of the complex joint density at |z| = sqrt(N) + delta,
+    elementwise over sigma > 0 and delta; float for scalar input."""
+    sigma, delta = real("sigma", sigma, 0.0, lo_open=True), real("delta", delta)
+    s2, big = sigma * sigma, 1.0 - 2.0 * sigma * delta
+    gauss = -big * big / (2.0 * s2)
+    sq2d = math.sqrt(2.0) * delta
+    erfc = specfun.erfc(sq2d)
+    t1 = (2.0 * s2 - big) / math.pi * np.exp(gauss - 2.0 * delta * delta)
+    t2 = -(4.0 * delta * s2 - big * (2.0 * delta + sigma)) / math.sqrt(2.0 * math.pi) \
+        * erfc * np.exp(gauss)
+    # erfcx as in the real law; for delta < 0, 2 delta^2 + gauss =
+    # 2 delta/sigma - 1/(2 sigma^2) exactly
+    t3 = 0.5 * (big * big - s2) * np.where(delta >= 0.0, specfun.erfcx(np.abs(sq2d)), erfc) \
+        * erfc * np.exp(np.where(delta >= 0.0, gauss, 2.0 * delta / sigma - 0.5 / s2))
+    out = np.maximum((t1 + t2 + t3) / (2.0 * math.pi * s2 * s2 * sigma), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
-def density_complex_edge(delta) -> float:
-    """Mean edge density of complex eigenvalues: erfc(sqrt(2) delta)/(2 pi)."""
+def density_complex_edge(delta):
+    """Mean edge density of complex eigenvalues: erfc(sqrt(2) delta)/(2 pi),
+    elementwise; float for scalar input."""
     return specfun.erfc(math.sqrt(2.0) * real("delta", delta)) / (2.0 * math.pi)
 
 
@@ -212,7 +203,10 @@ def sensitivity_density(n: int, w_abs_sq: float, z_abs_sq: float) -> float:
     quadrature's absolute tolerance does not swamp small values.
     """
     n = integer("n", n, 2)
-    w2 = real("|w|^2", w_abs_sq, 0.0)
+    w2, z_abs_sq = real("|w|^2", w_abs_sq, 0.0), real("|z|^2", z_abs_sq, 0.0)
+    for name, v in (("|w|^2", w2), ("|z|^2", z_abs_sq)):
+        if np.ndim(v):   # the quadrature below takes one point at a time
+            raise DomainError(f"{name} must be a finite real number, got shape {v.shape}")
     rho = density_complex(n, z_abs_sq)
     if rho == 0.0:   # underflowed, and the density with it
         return 0.0

@@ -121,37 +121,31 @@ def jpd_real_bulk(s, x):
     return float(out[()]) if out.ndim == 0 else out
 
 
-def _edge_real_scalar(sigma, delta) -> float:
+def jpd_real_edge(sigma, delta):
+    """Edge scaling limit of P: lim sqrt(N) P(sqrt(N) sigma, sqrt(N) + delta),
+    elementwise over sigma > 0 and delta; float for scalar input."""
     sigma, delta = real("sigma", sigma, 0.0, lo_open=True), real("delta", delta)
     expo = -0.25 / (sigma * sigma) + delta / sigma
-    t1 = math.exp(expo - 2.0 * delta * delta) / _SQRT_2PI
-    coef = 0.5 * (1.0 / sigma - 2.0 * delta)
-    if delta >= 0.0:
-        # erfc = erfcx * e^{-2 delta^2}: keeps the product from underflowing early
-        t2 = coef * specfun.erfcx(math.sqrt(2.0) * delta) * math.exp(expo - 2.0 * delta * delta)
-    else:
-        t2 = coef * specfun.erfc(math.sqrt(2.0) * delta) * math.exp(expo)
-    return max(_C0 / (sigma * sigma) * (t1 + t2), 0.0)
+    expo2 = expo - 2.0 * delta * delta
+    # for delta >= 0, erfc = erfcx e^{-2 delta^2} keeps the product from
+    # underflowing early; np.abs keeps erfcx finite where np.where drops it
+    sq2d = math.sqrt(2.0) * delta
+    t2 = 0.5 * (1.0 / sigma - 2.0 * delta) \
+        * np.where(delta >= 0.0, specfun.erfcx(np.abs(sq2d)), specfun.erfc(sq2d)) \
+        * np.exp(np.where(delta >= 0.0, expo2, expo))
+    out = np.maximum(_C0 / (sigma * sigma) * (np.exp(expo2) / _SQRT_2PI + t2), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
-def jpd_real_edge(sigma, delta):
-    """Edge scaling limit of P: lim sqrt(N) P(sqrt(N) sigma, sqrt(N) + delta)."""
-    if np.isscalar(sigma) and np.isscalar(delta):
-        return _edge_real_scalar(sigma, delta)
-    return np.vectorize(_edge_real_scalar, otypes=[float])(sigma, delta)
-
-
-def density_real_edge(delta) -> float:
+def density_real_edge(delta):
     """Mean density of real eigenvalues at the spectral edge.
 
-    (1/(2 sqrt(2 pi))) [erfc(delta sqrt(2)) + e^{-delta^2}(1 + erf(delta))/sqrt(2)];
+    (1/(2 sqrt(2 pi))) [erfc(delta sqrt(2)) + e^{-delta^2} erfc(-delta)/sqrt(2)],
+    with erfc(-delta) = 1 + erf(delta) free of cancellation for every delta;
     tends to the bulk value 1/sqrt(2 pi) as delta -> -inf and to 0 as delta -> +inf.
+    Elementwise; float for scalar input.
     """
     d = real("delta", delta)
-    first = specfun.erfc(math.sqrt(2.0) * d)
-    if d >= 0.0:
-        second = math.exp(-d * d) * (1.0 + specfun.erf(d)) / math.sqrt(2.0)
-    else:
-        # 1 + erf(d) = erfc(-d): no cancellation for very negative d
-        second = math.exp(-d * d) * specfun.erfc(-d) / math.sqrt(2.0)
-    return _C0 * (first + second)
+    out = _C0 * (specfun.erfc(math.sqrt(2.0) * d)
+                 + np.exp(-d * d) * specfun.erfc(-d) / math.sqrt(2.0))
+    return float(out) if np.ndim(out) == 0 else out

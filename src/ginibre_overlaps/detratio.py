@@ -44,7 +44,6 @@ so peak memory does not grow with chunk x n^2.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -54,7 +53,7 @@ import numpy as np
 from . import analytic_complex, analytic_real, ensemble, specfun
 from .analytic_real import _log_eks_integral
 from .ensemble import EnsembleSpec, sample_ginibre_batch
-from .errors import DomainError, integer, real
+from .errors import DomainError, complex_, integer, real
 from .quadrature import DEFAULT_SPEC, QuadSpec, integrate_semi_infinite
 
 _L_OF_BETA = {1: (0, 2), 2: (0, 1, 2)}
@@ -84,10 +83,9 @@ class DetRatioQuery:
             object.__setattr__(self, name, integer(name, getattr(self, name), lo, hi))
         if (self.beta, self.L) not in _SUPPORTED:
             raise DomainError(f"unsupported (beta, L) = ({self.beta}, {self.L})")
-        if self.beta == 1 and abs(complex(self.z).imag) > 0.0:
+        object.__setattr__(self, "z", complex_("z", self.z))
+        if self.beta == 1 and self.z.imag != 0.0:
             raise DomainError("beta = 1 requires a real spectral parameter z")
-        if not cmath.isfinite(complex(self.z)):
-            raise DomainError(f"spectral parameter z must be finite, got {self.z}")
         object.__setattr__(self, "p", real("p", self.p, 0.0))
 
 
@@ -200,13 +198,14 @@ def detratio_mc_sweep(n: int, beta: int, L: int, z, p_values, n_samples: int, *,
     chunk)), so the other L of the same stream cost no further draws; see
     _sample_log_values for what each matrix takes.  The moments are scaled
     here, so only an L whose values exceed the double range raises."""
+    z = complex_("z", z)
     # the estimator divides by q = 2p/beta, so p > 0 here
     queries = [DetRatioQuery(n=n, beta=beta, L=L, z=z, p=real("p", p, 0.0, lo_open=True))
                for p in p_values]
     # at least 1e3 samples for a meaningful estimate
     n_samples = integer("n_samples", n_samples, 1000)
     chunk = integer("chunk", chunk, 1)
-    zc = complex(z) if beta == 2 else complex(z).real
+    zc = z if beta == 2 else z.real
     out = []
     for cnt, top, mean, m2 in _stream_moments(n, beta, zc, tuple(q.p for q in queries),
                                                n_samples, seed, chunk)[L]:
@@ -251,7 +250,7 @@ def _laplace(p: float, log_pref: float, s: float, x: float, c, j: int,
 def detratio_closed(q: DetRatioQuery, spec: QuadSpec = DEFAULT_SPEC) -> float:
     """Closed-form value of the determinant ratio at q: one row of the table
     in the module docstring."""
-    n, a, p = q.n, abs(complex(q.z)) ** 2, q.p
+    n, a, p = q.n, abs(q.z) ** 2, q.p
     if q.L == 0 and p == 0.0:
         raise DomainError("D^(0) diverges at p = 0: the integrand falls like 1/t")
     log_norm = -0.5 * n * _LN2 - specfun.log_gamma(0.5 * n)

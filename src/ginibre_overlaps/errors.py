@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and its two rules for
+"""Exception types shared across the package, and its three rules for
 arguments, so each raises DomainError the same way: :func:`integer` checks
-every N, beta, seed, matrix index and count, and :func:`real` every real
+every N, beta, seed, matrix index and count, :func:`real` every real
 argument (t, lambda, |z|^2, the scaling variables, tolerances, bounds and
-grids) once, where it enters the package."""
+grids) and :func:`complex_` the spectral parameter z, once, where it enters
+the package."""
 
 import math
 
@@ -43,6 +44,15 @@ def real(name: str, value, lo=-math.inf, hi=math.inf, *, lo_open=False, finite=T
     kind = "a finite real" if finite else "a real"
     raise DomainError(f"{name} must be {kind} number in {'(' if lo_open else '['}{lo}, {hi}], "
                       f"got {value!r}")
+
+
+def complex_(name: str, value) -> complex:
+    """value as a Python complex when it is one finite number (numpy scalars
+    and 0-d arrays too); else DomainError naming the argument."""
+    x = np.asarray(value)
+    if x.ndim == 0 and x.dtype.kind in "biufc" and np.isfinite(x):
+        return complex(x)
+    raise DomainError(f"{name} must be a finite complex number, got {value!r}")
 
 
 class QuadratureConvergenceError(RuntimeError):

@@ -298,9 +298,9 @@ def analytic_conditional_cdf(spec: EnsembleSpec, window: Window, t_grid) -> np.n
         spec.n, t_grid, (nodes * nodes)[:, None]) / mass
 
 
-def ks_compare(hist: ConditionedHistogram, cdf, *, alpha: float = KS_ALPHA) -> ComparisonReport:
+def ks_compare(hist: ConditionedHistogram, cdf) -> ComparisonReport:
     """Sup-distance between the empirical CDF at the bin edges and the
-    analytic conditional CDF, with threshold c(alpha)/sqrt(n)."""
+    analytic conditional CDF, with threshold c(KS_ALPHA)/sqrt(n)."""
     cdf = np.asarray(cdf, dtype=float)
     if cdf.shape != hist.bin_edges.shape:
         raise DomainError("cdf must be evaluated on the histogram bin edges")
@@ -308,8 +308,8 @@ def ks_compare(hist: ConditionedHistogram, cdf, *, alpha: float = KS_ALPHA) -> C
     if n < 100:
         raise InsufficientSamplesError(f"KS comparison needs >= 100 samples, got {n}")
     dist = float(np.max(np.abs(hist.ecdf_at_edges() - cdf)))
-    threshold = ks_critical(alpha) / math.sqrt(n)
-    meta = {"alpha": alpha, "window": (hist.window.kind, hist.window.lo, hist.window.hi),
+    threshold = ks_critical(KS_ALPHA) / math.sqrt(n)
+    meta = {"alpha": KS_ALPHA, "window": (hist.window.kind, hist.window.lo, hist.window.hi),
             "n_matrices": hist.n_matrices, "n_rejected": hist.n_rejected}
     if hist.spec is not None:
         meta.update(seed=hist.spec.seed, n=hist.spec.n, beta=hist.spec.beta)

@@ -1,19 +1,22 @@
 """Special functions for the overlap densities: what :mod:`math` lacks.
 
-Log-gamma, erf and erfc come from :mod:`math` (``log_gamma`` only adds the
-domain rule errors.real for finite x > 0, which each function here but the
-integrand log_tau_form applies to its real arguments).  This module adds one
-series kernel, the log of the truncated gamma integral int_0^T tau^{s-1}
-e^{-x tau} sum_m c_m (1-tau)^m dtau with c_m >= 0, into which the overlap
-densities integrate under tau = t/(1+t); on it, the regularized upper
-incomplete gamma Q(n, a) of integer order, computed as log Q so that it
-stays finite where Q itself underflows (a past ~n + 700), accurate to ~1e-13
-relative for n up to a few hundred; the log of the integrand itself at tau =
-t/(1+t), the form every overlap density takes (log_tau_form); and the scaled
-complementary error function erfcx.  The kernel's series loop does
-arithmetic, not bookkeeping: a block of terms for a flat run of elements at
-once is a few passes over one contiguous array, whose runs of terms merge in
-pairs.
+Log-gamma, erf and erfc come from :mod:`math`; ``log_gamma`` and ``erfc``
+apply it to each entry of an array, with its bits, after the domain rule
+errors.real (finite x > 0 for ``log_gamma``), which each function here but
+erf and the integrand log_tau_form applies to its real arguments.  This
+module adds one series kernel, the log of the truncated gamma integral
+int_0^T tau^{s-1} e^{-x tau} sum_m c_m (1-tau)^m dtau with c_m >= 0, into
+which the overlap densities integrate under tau = t/(1+t); on it, the
+regularized upper incomplete gamma Q(n, a) of integer order, computed as
+log Q so that it stays finite where Q itself underflows (a past ~n + 700),
+accurate to ~1e-13 relative for n up to a few hundred; the log of the
+integrand itself at tau = t/(1+t), the form every overlap density takes
+(log_tau_form); and the scaled complementary error function erfcx,
+elementwise: e^{x^2} erfc(x) below a crossover, above it the Laplace
+continued fraction, evaluated backward from one fixed depth for every
+element.  The kernel's series loop does arithmetic, not bookkeeping: a
+block of terms for a flat run of elements at once is a few passes over one
+contiguous array, whose runs of terms merge in pairs.
 """
 
 from __future__ import annotations
@@ -28,12 +31,22 @@ from .errors import DomainError, integer, real
 _SQRT_PI = math.sqrt(math.pi)
 
 erf = math.erf
-erfc = math.erfc
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for finite x > 0."""
-    return math.lgamma(real("x", x, 0.0, lo_open=True))
+def _each(f, x):
+    """math's f on each entry of a float or float array, with its bits."""
+    out = np.frompyfunc(f, 1, 1)(x)
+    return out.astype(float) if isinstance(out, np.ndarray) else out
+
+
+def erfc(x):
+    """Complementary error function, elementwise; 2 and 0 at -inf and +inf."""
+    return _each(math.erfc, real("x", x, finite=False))
+
+
+def log_gamma(x):
+    """Natural log of the Gamma function for finite x > 0, elementwise."""
+    return _each(math.lgamma, real("x", x, 0.0, lo_open=True))
 
 
 #: series terms per block, a power of 2 (the block's runs of terms merge in
@@ -225,45 +238,30 @@ def log_tau_form(s: float, x, c, t, j: int = 2):
         return (s - 1.0) * (np.log(t) + log_om) - x * t * om + j * log_om + np.log(poly)
 
 
-def _erfcx_cf(x: float) -> float:
-    """Scaled complementary error function by the Laplace continued fraction.
-
-    erfcx(x) = (1/sqrt(pi)) / (x + (1/2)/(x + 1/(x + (3/2)/(x + ...)))),
-    accurate for x >= ~1.5.  Modified Lentz evaluation.
-    """
-    tiny = 1e-300
-    f = x if x != 0.0 else tiny
-    c = f
-    d = 0.0
-    for k in range(1, 300):
-        ak = 0.5 * k
-        d = x + ak * d
-        if d == 0.0:
-            d = tiny
-        c = x + ak / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return 1.0 / (_SQRT_PI * f)
+#: where erfcx switches from e^{x^2} erfc(x) to the continued fraction, and
+#: the fraction's depth: both sides are within ~7e-16 relative there
+_ERFCX_CROSSOVER, _ERFCX_DEPTH = 2.5, 40
 
 
-_ERFCX_CROSSOVER = 1.5
+def erfcx(x):
+    """Scaled complementary error function e^{x^2} erfc(x), elementwise.
 
-
-def erfcx(x: float) -> float:
-    """Scaled complementary error function e^{x^2} erfc(x).
-
-    Decays like 1/(x sqrt(pi)) for large positive x, to 0 at +inf; grows
-    like 2 e^{x^2} for negative x (and overflows once x < -26.6, as the true
-    value does).  NaN and non-real values raise DomainError.
+    e^{x^2} erfc(|x|) for |x| < _ERFCX_CROSSOVER, else the Laplace continued
+    fraction (1/sqrt(pi)) / (x + (1/2)/(x + 1/(x + (3/2)/(x + ...)))), taken
+    backward from one depth for every element, so that an array gives each
+    element's scalar value bit for bit; 2 e^{x^2} - erfcx(|x|) for x < 0.
+    0 at +inf; inf once x < -26.6, where the true value overflows; NaN raises
+    DomainError.
     """
     x = real("x", x, finite=False)
-    if x < 0.0:
-        return 2.0 * math.exp(x * x) - erfcx(-x)
-    if x < _ERFCX_CROSSOVER:
-        return math.exp(x * x) * math.erfc(x)
-    return _erfcx_cf(x) if x < math.inf else 0.0
+    ax = np.abs(x)
+    # each branch runs on every element, at an argument kept inside its range
+    near, far = np.minimum(ax, _ERFCX_CROSSOVER), np.maximum(ax, _ERFCX_CROSSOVER)
+    frac = far
+    for k in range(_ERFCX_DEPTH, 0, -1):
+        frac = far + 0.5 * k / frac
+    out = np.where(ax < _ERFCX_CROSSOVER, np.exp(near * near) * _each(math.erfc, near),
+                   1.0 / (_SQRT_PI * frac))
+    with np.errstate(over="ignore"):
+        out = np.where(x < 0.0, 2.0 * np.exp(x * x) - out, out)
+    return float(out) if out.ndim == 0 else out

@@ -19,7 +19,7 @@ from ginibre_overlaps import analytic_complex as ac
 from ginibre_overlaps import analytic_real as ar
 from ginibre_overlaps import detratio, mc_harness, specfun
 from ginibre_overlaps.ensemble import EnsembleSpec, sample_ginibre, sample_ginibre_batch
-from ginibre_overlaps.errors import DomainError, integer, real
+from ginibre_overlaps.errors import DomainError, complex_, integer, real
 from ginibre_overlaps.quadrature import QuadSpec, integrate_finite, integrate_semi_infinite
 
 _SPEC = EnsembleSpec(n=3, beta=2, seed=4)
@@ -307,3 +307,50 @@ class TestRealArguments:
         expected = call(float(k))
         for value in (np.float64(k), int(k), np.array(float(k))):
             assert _equal(call(value), expected), repr(value)
+
+
+class TestComplexRule:
+    @pytest.mark.parametrize("value", [0.5, 2, True, 0.5 + 0.4j, np.float64(0.5), np.int64(2),
+                                       np.complex128(0.5 + 0.4j), np.array(0.5 + 0.4j)])
+    def test_numbers_return_plain_complex(self, value):
+        out = complex_("z", value)
+        assert out == complex(value) and type(out) is complex
+
+    @pytest.mark.parametrize("value", ["0.5", b"0.5", None, math.nan, math.inf, -math.inf,
+                                       complex(math.nan, 0.0), complex(0.0, math.inf), [0.5],
+                                       np.array([0.5, 1.0])])
+    def test_rejected_values_name_the_argument(self, value):
+        with pytest.raises(DomainError, match=r"^z must be a finite complex number"):
+            complex_("z", value)
+
+
+# z enters the determinant-ratio oracle through errors.complex_, never complex()
+_Z_CALLS = {
+    "DetRatioQuery z": lambda v: detratio.DetRatioQuery(n=3, beta=2, L=1, z=v, p=1.0),
+    "detratio_mc_sweep z": lambda v: detratio.detratio_mc_sweep(3, 2, 1, v, [1.0], 1000),
+}
+
+
+@pytest.mark.parametrize("name", list(_Z_CALLS))
+@pytest.mark.parametrize("value", ["0.5", b"0.5", None, math.nan, complex(0.5, math.inf), [0.5]],
+                         ids=["str", "bytes", "None", "nan", "inf-part", "list"])
+def test_z_rejected_by_name(name, value):
+    with pytest.raises(DomainError, match=r"^z must be a finite complex number"):
+        _Z_CALLS[name](value)
+
+
+@pytest.mark.parametrize("value", [0.5, np.float64(0.5), np.complex128(0.5), np.array(0.5)])
+def test_z_numeric_types_act_as_the_complex(value):
+    q = detratio.DetRatioQuery(n=3, beta=2, L=1, z=value, p=1.0)
+    assert type(q.z) is complex and q == detratio.DetRatioQuery(n=3, beta=2, L=1, z=0.5, p=1.0)
+    assert detratio.detratio_closed(q) == detratio.detratio_closed(
+        detratio.DetRatioQuery(n=3, beta=2, L=1, z=0.5, p=1.0))
+
+
+# sensitivity_density integrates one point at a time: an array names its argument
+@pytest.mark.parametrize("w_abs_sq, z_abs_sq, name",
+                         [([0.1, 0.2], 0.5, "|w|^2"), (np.ones((1, 1)), 0.5, "|w|^2"),
+                          (0.1, [0.5, 1.0], "|z|^2"), (0.1, np.empty(0), "|z|^2")])
+def test_sensitivity_density_arrays_rejected_by_name(w_abs_sq, z_abs_sq, name):
+    with pytest.raises(DomainError, match=rf"^{re.escape(name)} must be a finite real number"):
+        ac.sensitivity_density(4, w_abs_sq, z_abs_sq)
