@@ -170,20 +170,25 @@ def jpd_complex_bulk(s, w_abs):
 
 def jpd_complex_edge(sigma, delta):
     """Edge limit of the complex joint density at |z| = sqrt(N) + delta,
-    elementwise over sigma > 0 and delta; float for scalar input."""
+    elementwise over sigma > 0 and delta; float for scalar input.  sigma is
+    capped below at 1e-3 as in the real law; with m = max(sigma, 1), each
+    coefficient (degree 2 in sigma) is m^2 times its form in r = sigma/m and
+    q = 1/m, and m^2/sigma^5 = q^3 p^5 with p = max(1/sigma, 1): nothing overflows."""
     sigma, delta = real("sigma", sigma, 0.0, lo_open=True), real("delta", delta)
-    s2, big = sigma * sigma, 1.0 - 2.0 * sigma * delta
-    gauss = -big * big / (2.0 * s2)
+    sigma = np.maximum(sigma, 1e-3)                    # u = 1/sigma <= 1e3
+    u = 1.0 / sigma
+    q, r, p = np.minimum(u, 1.0), np.minimum(sigma, 1.0), np.maximum(u, 1.0)
+    big = q - 2.0 * delta * r                          # (1 - 2 sigma delta)/max(sigma, 1)
+    gauss = -big * big / (2.0 * r * r)
     sq2d = math.sqrt(2.0) * delta
     erfc = specfun.erfc(sq2d)
-    t1 = (2.0 * s2 - big) / math.pi * np.exp(gauss - 2.0 * delta * delta)
-    t2 = -(4.0 * delta * s2 - big * (2.0 * delta + sigma)) / math.sqrt(2.0 * math.pi) \
+    t1 = (2.0 * r * r - q * big) / math.pi * np.exp(gauss - 2.0 * delta * delta)
+    t2 = -(4.0 * delta * r * r - big * (2.0 * delta * q + r)) / math.sqrt(2.0 * math.pi) \
         * erfc * np.exp(gauss)
-    # erfcx as in the real law; for delta < 0, 2 delta^2 + gauss =
-    # 2 delta/sigma - 1/(2 sigma^2) exactly
-    t3 = 0.5 * (big * big - s2) * np.where(delta >= 0.0, specfun.erfcx(np.abs(sq2d)), erfc) \
-        * erfc * np.exp(np.where(delta >= 0.0, gauss, 2.0 * delta / sigma - 0.5 / s2))
-    out = np.maximum((t1 + t2 + t3) / (2.0 * math.pi * s2 * s2 * sigma), 0.0)
+    # erfcx as in the real law; for delta < 0, 2 delta^2 + gauss = u (2 delta - u/2)
+    t3 = 0.5 * (big * big - r * r) * np.where(delta >= 0.0, specfun.erfcx(np.abs(sq2d)), erfc) \
+        * erfc * np.exp(np.where(delta >= 0.0, gauss, u * (2.0 * delta - 0.5 * u)))
+    out = np.maximum(q * q * q * p * p * p * p * p * (t1 + t2 + t3) / (2.0 * math.pi), 0.0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -12,8 +12,8 @@ e^{-a tau/2} [c0 + c1 (1-tau)] dtau with a = lambda^2, where
 c0 = e^{-a} sum_k (N-1-k) a^k/k! and c1 = e^{-a} sum_k k a^k/k! are sums
 of positive terms, so no evaluation subtracts.  The density, its integral
 over t (:func:`jpd_real_cumulative`) and two determinant ratios
-(:mod:`detratio`) all read that form; over all t it recovers the mean
-density of real eigenvalues (Edelman/Kostlan/Shub), :func:`density_real`.
+(:mod:`detratio`) all read that form; at T = 1 (all t) it is the mean
+density of real eigenvalues, :func:`density_real` (Edelman/Kostlan/Shub).
 Bulk (lambda = sqrt(N) x, t = N s) and edge (lambda = sqrt(N) + delta,
 t = sqrt(N) sigma) scaling limits are provided in closed form.
 
@@ -82,31 +82,18 @@ def jpd_real_cumulative(n: int, t, lam):
     return float(out) if scalar else out
 
 
-def _log_eks_integral(n: int, lam_abs):
-    """log of int_0^|lambda| e^{-u^2/2} u^{n-2} du = (|lambda|^{n-1}/2) I_{(n-1)/2}(lambda^2/2, 1),
-    elementwise; -inf at lambda = 0."""
-    lam_abs = np.asarray(lam_abs, dtype=float)
-    with np.errstate(divide="ignore"):
-        out = ((n - 1) * np.log(lam_abs) - math.log(2.0)
-               + specfun.log_lower_integral(0.5 * (n - 1), 0.5 * lam_abs * lam_abs, 1.0))
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def density_real(n: int, lam):
-    """Mean density of real eigenvalues of a size-n real Ginibre matrix.
+    """Mean density of real eigenvalues of a size-n real Ginibre matrix: the
+    real tau-form at T = 1 (P over all t), one truncated gamma integral whose
+    value is the closed form of Edelman, Kostlan and Shub (J. AMS 7 (1994) 247).
 
     Even in lambda; equals 1/sqrt(2 pi) at lambda = 0 for every n >= 2, and
     integrates over the real line to the expected number of real eigenvalues.
-    Elementwise over lambda; returns float for scalar input.
-    """
+    Elementwise over lambda; returns float for scalar input."""
     n = integer("n", n, 2)
-    lam_abs = np.abs(real("lambda", lam, -_LAM_MAX, _LAM_MAX))
-    a = lam_abs * lam_abs
-    term1 = specfun.reg_gamma_q(n - 1, a) / _SQRT_2PI
-    with np.errstate(divide="ignore"):
-        log_t2 = ((n - 1) * np.log(lam_abs) - 0.5 * a + _log_eks_integral(n, lam_abs)
-                  - specfun.log_gamma(float(n - 1)) - math.log(_SQRT_2PI))
-    out = term1 + np.exp(log_t2)
+    lam = real("lambda", lam, -_LAM_MAX, _LAM_MAX)
+    log_pref, s, x, c = _tau_form(n, lam * lam)
+    out = np.exp(log_pref + specfun.log_lower_integral(s, x, 1.0, c))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -123,17 +110,20 @@ def jpd_real_bulk(s, x):
 
 def jpd_real_edge(sigma, delta):
     """Edge scaling limit of P: lim sqrt(N) P(sqrt(N) sigma, sqrt(N) + delta),
-    elementwise over sigma > 0 and delta; float for scalar input."""
+    elementwise over sigma > 0 and delta; float for scalar input.  In u = 1/sigma
+    capped at 1e3, past which each term is below e^{-u^2/8}, 0 in double: no
+    power of u overflows, and every finite sigma > 0 gives a finite value."""
     sigma, delta = real("sigma", sigma, 0.0, lo_open=True), real("delta", delta)
-    expo = -0.25 / (sigma * sigma) + delta / sigma
+    u = 1.0 / np.maximum(sigma, 1e-3)
+    expo = u * (delta - 0.25 * u)                      # -1/(4 sigma^2) + delta/sigma
     expo2 = expo - 2.0 * delta * delta
     # for delta >= 0, erfc = erfcx e^{-2 delta^2} keeps the product from
     # underflowing early; np.abs keeps erfcx finite where np.where drops it
     sq2d = math.sqrt(2.0) * delta
-    t2 = 0.5 * (1.0 / sigma - 2.0 * delta) \
+    t2 = 0.5 * (u - 2.0 * delta) \
         * np.where(delta >= 0.0, specfun.erfcx(np.abs(sq2d)), specfun.erfc(sq2d)) \
         * np.exp(np.where(delta >= 0.0, expo2, expo))
-    out = np.maximum(_C0 / (sigma * sigma) * (np.exp(expo2) / _SQRT_2PI + t2), 0.0)
+    out = np.maximum(_C0 * u * u * (np.exp(expo2) / _SQRT_2PI + t2), 0.0)
     return float(out) if out.ndim == 0 else out
 
 

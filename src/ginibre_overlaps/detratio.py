@@ -51,7 +51,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import analytic_complex, analytic_real, ensemble, specfun
-from .analytic_real import _log_eks_integral
 from .ensemble import EnsembleSpec, sample_ginibre_batch
 from .errors import DomainError, complex_, integer, real
 from .quadrature import DEFAULT_SPEC, QuadSpec, integrate_semi_infinite
@@ -247,44 +246,47 @@ def _laplace(p: float, log_pref: float, s: float, x: float, c, j: int,
     return val
 
 
+def _log_norm(n: int) -> float:   # -(n/2) ln2 - lnG(n/2), in both beta = 1 rows
+    return -0.5 * n * _LN2 - specfun.log_gamma(0.5 * n)
+
+
+def _real_row(n: int, a: float, beta: int):
+    """(log_pref, s, x, c) of the (1, 2) row (beta = 1) or the (2, 1) row (beta = 2)."""
+    log_pref, s, x, c = analytic_real._tau_form(n + 1, a)
+    b = log_pref - analytic_real._LN_C0 - 0.5 * a     # b of the module docstring
+    if beta == 2:
+        return a + b, n, a, c
+    return specfun.log_gamma(n) + _log_norm(n) + a + b, s, x, c
+
+
 def detratio_closed(q: DetRatioQuery, spec: QuadSpec = DEFAULT_SPEC) -> float:
     """Closed-form value of the determinant ratio at q: one row of the table
     in the module docstring."""
     n, a, p = q.n, abs(q.z) ** 2, q.p
     if q.L == 0 and p == 0.0:
         raise DomainError("D^(0) diverges at p = 0: the integrand falls like 1/t")
-    log_norm = -0.5 * n * _LN2 - specfun.log_gamma(0.5 * n)
     if q.L == 0:
         if q.beta == 1:
-            return _laplace(p, log_norm, 0.5 * n, 0.5 * a, (1.0,), 1, spec)
+            return _laplace(p, _log_norm(n), 0.5 * n, 0.5 * a, (1.0,), 1, spec)
         return _laplace(p, -specfun.log_gamma(n), n, a, (1.0,), 1, spec)
     if q.L == 2 and q.beta == 2:
         log_pref, s, x, c = analytic_complex._tau_form(n + 1, a)
         return _laplace(p, math.log(math.pi) + specfun.log_gamma(n + 1.0) + a + log_pref,
                         s, x, c, 2, spec)
-    log_pref, s, x, c = analytic_real._tau_form(n + 1, a)
-    b = log_pref - analytic_real._LN_C0 - 0.5 * a
-    if q.beta == 1:
-        return _laplace(p, specfun.log_gamma(n) + log_norm + a + b, s, x, c, 2, spec)
-    return _laplace(p, a + b, n, a, c, 2, spec)
+    return _laplace(p, *_real_row(n, a, q.beta), 2, spec)
 
 
 def detratio_real_l2_p0(n: int, lam: float) -> float:
-    """D^{(2)}_{n,1}(lam, 0) in fully closed form (no quadrature over t):
+    """D^{(2)}_{n,1}(lam, 0), the (1, 2) row at p = 0: with no e^{-pt} left, its
+    tau-form integrated to T = 1, with no quadrature.  It equals
 
     (2/(2^{n/2} Gamma(n/2))) [e^{lam^2/2} Gamma(n, lam^2)
                               + |lam|^n int_0^{|lam|} e^{-u^2/2} u^{n-1} du]
     """
     n = integer("n", n, 1)
-    lam = abs(real("lambda", lam))
-    a = lam * lam
-    ln_norm = _LN2 - 0.5 * n * _LN2 - specfun.log_gamma(0.5 * n)
-    term1 = 0.5 * a + specfun.log_gamma_upper(n, a)
-    if lam == 0.0:
-        return math.exp(ln_norm + term1)
-    term2 = n * math.log(lam) + _log_eks_integral(n + 1, lam)
-    top = max(term1, term2)
-    return math.exp(ln_norm + top) * (math.exp(term1 - top) + math.exp(term2 - top))
+    lam = real("lambda", lam, -analytic_real._LAM_MAX, analytic_real._LAM_MAX)
+    log_pref, s, x, c = _real_row(n, lam * lam, 1)
+    return math.exp(log_pref + specfun.log_lower_integral(s, x, 1.0, c))
 
 
 def mean_det_sq_real(n: int, lam: float) -> float:

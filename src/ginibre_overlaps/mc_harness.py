@@ -174,7 +174,9 @@ def _windowed_chunks(spec: EnsembleSpec, start: int, stop: int, window: Window, 
         t, ok = _overlaps_bordered(mats, rows, w[rows, cols])
         rejected = ~np.isfinite(w).all(axis=1)
         rejected[rows[~ok]] = True
-        yield t[~rejected[rows]], int(rejected.sum())
+        pair = t[~rejected[rows]], int(rejected.sum())
+        del mats, w, t   # so that one batch at a time is alive
+        yield pair
 
 
 def _campaign_range(spec: EnsembleSpec, start: int, stop: int, window: Window,

@@ -174,6 +174,28 @@ class TestDensityReal:
             assert g == pytest.approx(ar.density_real(9, float(lam)), rel=1e-14, abs=0)
 
 
+class TestDensityRealAsTauForm:
+    """density_real, the real tau-form integrated to T = 1, against the
+    Edelman-Kostlan-Shub closed form in 40-digit mpmath, past the edge."""
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 30, 100, 200])
+    def test_against_eks_to_three_edges(self, n):
+        lams = np.linspace(0.0, 3.0 * math.sqrt(n), 25)
+        got = ar.density_real(n, lams)
+        with mpmath.workdps(40):
+            for lam, g in zip(lams.tolist(), got):
+                a = mpmath.mpf(lam) ** 2
+                ref = (mpmath.gammainc(n - 1, a, mpmath.inf, regularized=True)
+                       + mpmath.mpf(lam) ** (n - 1) * mpmath.exp(-a / 2)
+                       * 2 ** (mpmath.mpf(n - 3) / 2)
+                       * mpmath.gammainc(mpmath.mpf(n - 1) / 2, 0, a / 2)
+                       / mpmath.gamma(n - 1)) / mpmath.sqrt(2 * mpmath.pi)
+                if ref >= sys.float_info.min:
+                    assert abs(g - ref) <= 5e-13 * ref, (n, lam)
+                else:
+                    assert 0.0 <= g < sys.float_info.min, (n, lam)
+
+
 class TestCumulative:
     """int_0^t P(u, lambda) du in closed form."""
 

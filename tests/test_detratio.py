@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -595,3 +596,26 @@ class TestLaplaceBridges:
         rhs = math.exp(-a) / (math.pi * math.factorial(n - 1)) \
             * detratio.detratio_closed(_q(n - 1, 2, 2, az, p))
         assert lhs == pytest.approx(rhs, rel=1e-6, abs=0)
+
+
+class TestRealL2AtPZero:
+    """detratio_real_l2_p0, the (1, 2) row's tau-form integrated to T = 1,
+    against the closed form of its docstring in 40-digit mpmath."""
+
+    @staticmethod
+    def _closed(n, lam):
+        # (2/(2^{n/2} Gamma(n/2))) [e^{a/2} Gamma(n, a) + |lam|^n 2^{n/2-1} gamma(n/2, a/2)]
+        lam = abs(mpmath.mpf(lam))
+        a, h = lam * lam, mpmath.mpf(n) / 2
+        return 2 / (2**h * mpmath.gamma(h)) * (
+            mpmath.exp(a / 2) * mpmath.gammainc(n, a, mpmath.inf)
+            + lam**n * 2 ** (h - 1) * mpmath.gammainc(h, 0, a / 2))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 40])
+    def test_against_mpmath(self, n):
+        with mpmath.workdps(40):
+            for lam in (0.0, 0.3, 1.0, 3.0, 10.0):
+                ref = self._closed(n, lam)
+                got = detratio.detratio_real_l2_p0(n, lam)
+                assert abs(got - ref) <= 5e-14 * ref, (n, lam)
+                assert detratio.detratio_real_l2_p0(n, -lam) == got

@@ -151,3 +151,27 @@ def test_edge_laws_against_mpmath(f, ref, tol, delta_max):
     assert normal.sum() > 0.8 * normal.size
     rel = np.abs(f(sigma[:, None], delta) - exact)[normal] / np.abs(exact[normal])
     assert rel.max() <= tol
+
+
+_EXTREME_SIGMA = [1e-170, 1e-160, 1e-3, 1e70, 1e150, 1e160, 1e300]
+
+
+@pytest.mark.parametrize("f, ref", [(ar.jpd_real_edge, _mp_real_edge),
+                                    (ac.jpd_complex_edge, _mp_complex_edge)],
+                         ids=["real", "complex"])
+def test_edge_laws_at_extreme_sigma(f, ref):
+    # sigma^2 underflows or sigma^5 overflows in a float; each value is
+    # finite without a warning (the suite turns warnings into errors), 0.0
+    # only where the 60-digit value is below the smallest normal double,
+    # and an array gives each element its scalar value
+    tiny = np.finfo(float).tiny
+    got = f(np.array(_EXTREME_SIGMA), 0.3)
+    with mpmath.workdps(60):
+        exact = [ref(s, 0.3) for s in _EXTREME_SIGMA]
+    for s, g, e in zip(_EXTREME_SIGMA, got.tolist(), exact):
+        assert f(s, 0.3) == g and math.isfinite(g), s
+        if abs(e) < tiny:
+            assert 0.0 <= g < tiny, s
+        else:
+            assert g != 0.0 and abs(g - e) <= 1e-12 * abs(e), s
+    assert got[3] > 1e-215   # sigma = 1e70: ~1e-142 (real) and ~3e-213 (complex)

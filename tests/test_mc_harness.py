@@ -454,3 +454,16 @@ class TestTailExponent:
         else:
             slope, stderr = mh.tail_exponent(hist, t_min=1.0, min_tail_count=min_tail_count)
             assert slope < 0.0 and stderr > 0.0
+
+
+class TestRealCdfLimit:
+    """The real conditional CDF ends at 1 to rounding: at t -> inf its
+    numerator and the window mass read the same tau-form at T = 1."""
+
+    @pytest.mark.parametrize("n, lo, hi", [(6, -0.5, 0.5), (10, 1.5, 2.5), (30, -1.0, 1.0),
+                                           (200, 0.9, 1.1)])
+    def test_ends_at_one(self, n, lo, hi):
+        rt = math.sqrt(n)
+        window = mh.Window(kind=mh.REAL_INTERVAL, lo=lo * rt, hi=hi * rt)
+        cdf = mh.analytic_conditional_cdf(EnsembleSpec(n=n, beta=1), window, [1e300])
+        assert abs(cdf[0] - 1.0) <= 1e-15
