@@ -203,24 +203,17 @@ def sensitivity_density(n: int, w_abs_sq: float, z_abs_sq: float) -> float:
     perturbation of the matrix, at spectral location z.
 
     pi(w, z) = int_0^inf [N/(pi(1+t))] e^{-N|w|^2/(1+t)} P(t, z) dt; it
-    integrates over the w-plane to the mean eigenvalue density at z.  The
-    t-integral is taken in units of that density, rho(z), so that the
-    quadrature's absolute tolerance does not swamp small values.
+    integrates over the w-plane to the mean eigenvalue density at z.
     """
     n = integer("n", n, 2)
     w2, z_abs_sq = real("|w|^2", w_abs_sq, 0.0), real("|z|^2", z_abs_sq, 0.0)
     for name, v in (("|w|^2", w2), ("|z|^2", z_abs_sq)):
         if np.ndim(v):   # the quadrature below takes one point at a time
             raise DomainError(f"{name} must be a finite real number, got shape {v.shape}")
-    rho = density_complex(n, z_abs_sq)
-    if rho == 0.0:   # underflowed, and the density with it
-        return 0.0
     log_pref, s, x, c = _tau_form(n, z_abs_sq)   # P(t, z) as jpd_complex forms it
 
     def integrand(t):
         om = 1.0 / (1.0 + t)
-        p = np.exp(log_pref + specfun.log_tau_form(s, x, c, t))
-        return n / math.pi * om * np.exp(-n * w2 * om) * p / rho
+        return n / math.pi * om * np.exp(log_pref - n * w2 * om + specfun.log_tau_form(s, x, c, t))
 
-    val, _ = integrate_semi_infinite(integrand)
-    return val * rho
+    return integrate_semi_infinite(integrand)[0]

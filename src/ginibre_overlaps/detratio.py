@@ -57,7 +57,6 @@ from .quadrature import DEFAULT_SPEC, QuadSpec, integrate_semi_infinite
 
 _L_OF_BETA = {1: (0, 2), 2: (0, 1, 2)}
 _SUPPORTED = {(beta, ell) for beta, ells in _L_OF_BETA.items() for ell in ells}
-_LN2 = math.log(2.0)
 
 # Rounding the Gram product moves each entry by |dG_ij| <~ n eps |a_i| |a_j|
 # (a_i the columns of A), and ||(qI + A^H A)^{-1}|| <= 1/q, so
@@ -246,17 +245,17 @@ def _laplace(p: float, log_pref: float, s: float, x: float, c, j: int,
     return val
 
 
-def _log_norm(n: int) -> float:   # -(n/2) ln2 - lnG(n/2), in both beta = 1 rows
-    return -0.5 * n * _LN2 - specfun.log_gamma(0.5 * n)
+def _log_norm(n: int, beta: int) -> float:   # -h n ln(2/beta) - lnG(h n), h = beta/2
+    return -0.5 * beta * n * math.log(2.0 / beta) - specfun.log_gamma(0.5 * beta * n)
 
 
 def _real_row(n: int, a: float, beta: int):
-    """(log_pref, s, x, c) of the (1, 2) row (beta = 1) or the (2, 1) row (beta = 2)."""
-    log_pref, s, x, c = analytic_real._tau_form(n + 1, a)
+    """(log_pref, s, x, c) of the (1, 2) row (beta = 1) or the (2, 1) row (beta = 2),
+    h = beta/2; at beta = 2, lnG(n) + _log_norm(n, 2) is exactly 0.0."""
+    h = 0.5 * beta
+    log_pref, _, _, c = analytic_real._tau_form(n + 1, a)
     b = log_pref - analytic_real._LN_C0 - 0.5 * a     # b of the module docstring
-    if beta == 2:
-        return a + b, n, a, c
-    return specfun.log_gamma(n) + _log_norm(n) + a + b, s, x, c
+    return specfun.log_gamma(n) + _log_norm(n, beta) + a + b, h * n, h * a, c
 
 
 def detratio_closed(q: DetRatioQuery, spec: QuadSpec = DEFAULT_SPEC) -> float:
@@ -266,9 +265,8 @@ def detratio_closed(q: DetRatioQuery, spec: QuadSpec = DEFAULT_SPEC) -> float:
     if q.L == 0 and p == 0.0:
         raise DomainError("D^(0) diverges at p = 0: the integrand falls like 1/t")
     if q.L == 0:
-        if q.beta == 1:
-            return _laplace(p, _log_norm(n), 0.5 * n, 0.5 * a, (1.0,), 1, spec)
-        return _laplace(p, -specfun.log_gamma(n), n, a, (1.0,), 1, spec)
+        h = 0.5 * q.beta
+        return _laplace(p, _log_norm(n, q.beta), h * n, h * a, (1.0,), 1, spec)
     if q.L == 2 and q.beta == 2:
         log_pref, s, x, c = analytic_complex._tau_form(n + 1, a)
         return _laplace(p, math.log(math.pi) + specfun.log_gamma(n + 1.0) + a + log_pref,

@@ -290,8 +290,8 @@ def analytic_conditional_cdf(spec: EnsembleSpec, window: Window, t_grid) -> np.n
     if spec.beta == 2 and window.kind != ANNULUS:
         raise DomainError("complex-ensemble windows must be annuli")
     t_grid = np.asarray(real("t_grid", t_grid, 0.0, lo_open=True))
-    if np.any(np.diff(t_grid) <= 0):
-        raise DomainError("t_grid must be increasing")
+    if t_grid.ndim != 1 or np.any(np.diff(t_grid) <= 0):
+        raise DomainError("t_grid must be an increasing 1-d sequence")
 
     nodes, weights, mass = _outer_nodes(window, spec)
     if spec.beta == 1:

@@ -2,7 +2,9 @@
 
 Every integral of the package, the eigenvalue window's included, goes through
 one driver (_adaptive): one worst-panel-first refinement, one QuadSpec rule,
-and QuadratureConvergenceError once the subdivision budget runs out.
+and QuadratureConvergenceError once the subdivision budget runs out.  Where
+the largest |f| on the seed panels is below 1/2, abs_tol is in its units: f is
+scaled by the power of two that lifts it into [1/2, 1), which rounds nothing.
 Integrands must be vectorized: f(x) receives a 1-d numpy array of abscissae
 and returns the values elementwise.  An integral's seed panels are evaluated
 with one call of f, and both halves of each split with one more.
@@ -48,7 +50,8 @@ _EPS50 = 50.0 * float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Tolerances and subdivision budget for adaptive integration."""
+    """Tolerances and subdivision budget for adaptive integration; abs_tol is in
+    units of the integrand's largest seed value when that is below 1/2."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
@@ -114,18 +117,23 @@ def _adaptive(f, breakpoints, spec: QuadSpec):
     total_err = 0.0
     count = 0
     lo, hi = breakpoints[:-1], breakpoints[1:]
-    for a, b, v, e in zip(lo, hi, *kronrod_panel(f, lo, hi)):
+    fx = np.asarray(f(panel_nodes(lo, hi)[0].ravel()), dtype=float)
+    peak = np.max(np.abs(fx))   # NaN or inf keeps k = 0: kronrod_panel raises
+    k = -int(np.frexp(peak)[1]) if 0.0 < peak < 0.5 else 0
+    scaled = (lambda x: np.ldexp(f(x), k)) if k else f
+    for a, b, v, e in zip(lo, hi, *kronrod_panel(lambda _: np.ldexp(fx, k), lo, hi)):
         total += v
         total_err += e
         count += 1
         heapq.heappush(heap, (-e, count, a, b, v, e))
     while total_err > max(spec.abs_tol, spec.rel_tol * abs(total)):
         if count >= spec.max_subdivisions or not heap:
+            value, err_est = math.ldexp(total, -k), math.ldexp(total_err, -k)
             raise QuadratureConvergenceError(
                 f"no convergence after {count} subdivisions "
-                f"(estimate {total:.6g}, err {total_err:.3g})",
-                value=total,
-                err_est=total_err,
+                f"(estimate {value:.6g}, err {err_est:.3g})",
+                value=value,
+                err_est=err_est,
             )
         _, _, a, b, v, e = heapq.heappop(heap)
         m = 0.5 * (a + b)
@@ -134,13 +142,14 @@ def _adaptive(f, breakpoints, spec: QuadSpec):
             total_err -= e
             kept.append((a, b))
             continue
-        (v1, v2), (e1, e2) = kronrod_panel(f, [a, m], [m, b])
+        (v1, v2), (e1, e2) = kronrod_panel(scaled, [a, m], [m, b])
         total += v1 + v2 - v
         total_err += e1 + e2 - e
         count += 1
         heapq.heappush(heap, (-e1, count, a, m, v1, e1))
         heapq.heappush(heap, (-e2, 2 * count + 1, m, b, v2, e2))
-    return total, total_err, np.array(sorted(kept + [(a, b) for _, _, a, b, _, _ in heap]))
+    return (math.ldexp(total, -k), math.ldexp(total_err, -k),
+            np.array(sorted(kept + [(a, b) for _, _, a, b, _, _ in heap])))
 
 
 def integrate_finite(f, a: float, b: float, spec: QuadSpec = DEFAULT_SPEC):

@@ -419,6 +419,18 @@ class TestSensitivity:
         # past |z|^2 ~ n + 745 rho(z) itself underflows, and so does pi(w, z)
         assert ac.sensitivity_density(6, 0.0, 900.0) == 0.0
 
+    def test_to_the_end_of_the_double_range(self):
+        # n = 6, w = 0, down to subnormal values: the quadrature's abs_tol is in
+        # units of the integrand's own seed peak, so it cannot swamp them
+        with mpmath.workdps(60):
+            for a in (700.0, 720.0, 735.0, 745.0, 750.0, 755.0):
+                log_pref, _, _, (_, g1, g2, g3) = ac._tau_form(6, a)
+                ref = 6 / mpmath.pi * mpmath.exp(log_pref) * sum(
+                    g * mpmath.beta(5, i + 1) * mpmath.hyp1f1(5, 6 + i, -mpmath.mpf(a))
+                    for g, i in ((g1, 2), (g2, 3), (g3, 4)))
+                got = ac.sensitivity_density(6, 0.0, a)
+                assert abs(got - ref) <= 1e-12 * ref + 2 * math.ulp(0.0), a
+
     def test_w_normalization(self):
         # int pi(w, z) d^2w = rho(z): radial quadrature over |w|
         n, a = 3, 0.5

@@ -98,6 +98,22 @@ class TestSampleCommand:
                        "--window", "annulus:10:11", "--out", str(tmp_path / "x.json")])
         assert rc == 1
 
+    def test_csv_rows(self, tmp_path):
+        # one row per bin, whose counts add up to the histogram's in-range samples
+        args = ["sample", "--beta", "2", "--n", "4", "--matrices", "300",
+                "--window", "annulus:0:0.6", "--seed", "5"]
+        csv, js = tmp_path / "hist.csv", tmp_path / "hist.json"
+        assert dispatch(args + ["--out", str(csv)]) == 0
+        assert dispatch(args + ["--format", "json", "--out", str(js)]) == 0
+        h = json.loads(_read(js))["histogram"]
+        lines = _read(csv).strip().splitlines()
+        assert lines[0].startswith("# provenance: ") and lines[1] == "bin_lo,bin_hi,count"
+        rows = [line.split(",") for line in lines[2:]]
+        assert len(rows) == len(h["counts"])
+        assert [float(lo) for lo, _, _ in rows] == h["bin_edges"][:-1]
+        assert [float(hi) for _, hi, _ in rows] == h["bin_edges"][1:]
+        assert sum(int(c) for _, _, c in rows) == h["n_samples"] - h["underflow"] - h["overflow"]
+
 
 class TestCompareCommand:
     def test_pass_run(self, tmp_path):
@@ -343,6 +359,19 @@ class TestUsage:
         assert out == ""
         assert "error: grid bounds must be finite" in err and argv[-1] in err
         assert "Traceback" not in err and "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("grid, message", [
+        ("cub:0:1:3", "grid must be log:lo:hi:count or lin:lo:hi:count"),
+        ("log:0:1:3", "log grid needs positive bounds"),
+        ("log:-1:1:3", "log grid needs positive bounds"),
+        ("lin:1:1:3", "bad grid bounds"),
+        ("lin:2:1:3", "bad grid bounds"),
+        ("lin:0:1:0", "bad grid bounds")],
+        ids=["unknown-kind", "log-zero", "log-negative", "lo-eq-hi", "lo-gt-hi", "count-0"])
+    def test_bad_grid_exit_1(self, grid, message, capsys):
+        assert dispatch(["density", "--ensemble", "real", "--n", "3", "--grid", grid]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: {message}" in err and "Traceback" not in err
 
     def test_no_command_exit_1(self):
         assert dispatch([]) == 1

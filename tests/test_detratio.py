@@ -619,3 +619,39 @@ class TestRealL2AtPZero:
                 got = detratio.detratio_real_l2_p0(n, lam)
                 assert abs(got - ref) <= 5e-14 * ref, (n, lam)
                 assert detratio.detratio_real_l2_p0(n, -lam) == got
+
+
+class TestSmallValues:
+    """detratio_closed far below the quadrature's abs_tol, against 40-digit
+    mpmath of its own row integrand, taken over tau = t/(1+t) in (0, 1):
+
+        e^{log_pref} e^{-p tau/(1-tau) - x tau} tau^{s-1} (1-tau)^{j-2} sum_m c_m (1-tau)^m
+    """
+
+    @staticmethod
+    def _row(n, L, a):
+        # (log_pref, s, x, c, j) of the (2, 0) and (2, 2) rows
+        if L == 0:
+            return -mpmath.loggamma(n), n, a, (1.0,), 1
+        log_pref, s, x, c = _tau_form(n + 1, a)
+        return (mpmath.log(mpmath.pi) + mpmath.loggamma(n + 1) + a + float(log_pref),
+                s, x, [float(cm) for cm in c], 2)
+
+    @pytest.mark.parametrize("n, L, z, p", [(4, 0, 100.0, 1.0), (10, 0, 20.0, 1.0),
+                                            (4, 0, 30.0, 1.0), (4, 0, 1.0, 1e6),
+                                            (4, 2, 1.0, 1e6)])
+    def test_against_mpmath(self, n, L, z, p):
+        with mpmath.workdps(40):
+            log_pref, s, x, c, j = self._row(n, L, z * z)
+
+            def f(tau):
+                om = 1 - tau
+                if om == 0:
+                    return mpmath.mpf(0)
+                return (mpmath.exp(log_pref - p * tau / om - x * tau) * tau ** (s - 1)
+                        * om ** (j - 2) * sum(cm * om**m for m, cm in enumerate(c)))
+
+            # breakpoints down to 1e-12 resolve the peak near tau ~ (s - 1)/x or 1/p
+            ref = mpmath.quad(f, [0] + [mpmath.mpf(10) ** -k for k in range(12, 0, -1)] + [1])
+            got = detratio.detratio_closed(_q(n, 2, L, z, p))
+            assert abs(got - ref) <= 1e-13 * ref, (n, L, z, p)

@@ -229,6 +229,16 @@ class TestSchurRoute:
         with pytest.raises(DomainError):
             ens.overlap_schur_real(g, 10.0)
 
+    def test_repeated_eigenvalue(self):
+        # lam = 1 twice: the bordered system is singular
+        with pytest.raises(DegenerateSampleError, match="singular"):
+            ens.overlap_schur_real(np.eye(2), 1.0)
+
+    @pytest.mark.parametrize("g", [np.zeros((2, 3)), np.zeros(3)], ids=["2x3", "vector"])
+    def test_not_a_square_matrix(self, g):
+        with pytest.raises(DomainError, match="square"):
+            ens.overlap_schur_real(g, 0.0)
+
 
 def _rotated_triangular(n, beta, rng):
     """Q T Q^H: well-separated diagonal, off-diagonal entries of size 1e-4,

@@ -467,3 +467,41 @@ class TestRealCdfLimit:
         window = mh.Window(kind=mh.REAL_INTERVAL, lo=lo * rt, hi=hi * rt)
         cdf = mh.analytic_conditional_cdf(EnsembleSpec(n=n, beta=1), window, [1e300])
         assert abs(cdf[0] - 1.0) <= 1e-15
+
+
+class TestRejectedInputs:
+    """Each input check of the harness raises its typed error."""
+
+    WIN = mh.Window(kind=mh.ANNULUS, lo=0.0, hi=1.0)
+
+    def test_merge_needs_the_same_window(self):
+        t = np.array([0.5, 1.0, 2.0])
+        other = mh.Window(kind=mh.ANNULUS, lo=0.0, hi=2.0)
+        with pytest.raises(DomainError, match="cannot merge"):
+            _synthetic_hist(t, window=self.WIN).merge(_synthetic_hist(t, window=other))
+
+    def test_empty_histogram_has_no_ecdf(self):
+        with pytest.raises(EmptyWindowError):
+            _synthetic_hist(np.array([]), window=self.WIN).ecdf_at_edges()
+
+    @pytest.mark.parametrize("edges", [[2.0, 1.0, 3.0], [[0.5, 1.0, 2.0]]],
+                             ids=["decreasing", "2-d"])
+    def test_bin_edges(self, edges):
+        with pytest.raises(DomainError, match="bin_edges"):
+            mh.run_campaign(EnsembleSpec(n=4, beta=2, seed=0), 10, self.WIN, bin_edges=edges)
+
+    @pytest.mark.parametrize("t_grid", [1.0, [[1.0, 2.0]], [2.0, 1.0], [1.0, 1.0]],
+                             ids=["scalar", "2-d", "decreasing", "repeated"])
+    def test_t_grid(self, t_grid):
+        # the CDF holds one value per grid point, so only a 1-d grid has one
+        with pytest.raises(DomainError, match="t_grid"):
+            mh.analytic_conditional_cdf(EnsembleSpec(n=4, beta=2), self.WIN, t_grid)
+
+    def test_conditional_law_needs_n_2(self):
+        with pytest.raises(DomainError, match="size >= 2"):
+            mh.analytic_conditional_cdf(EnsembleSpec(n=1, beta=2), self.WIN, [1.0])
+
+    def test_ks_cdf_on_the_bin_edges(self):
+        hist = _synthetic_hist(np.full(200, 0.5), window=self.WIN)
+        with pytest.raises(DomainError, match="bin edges"):
+            mh.ks_compare(hist, np.zeros(hist.bin_edges.size - 1))

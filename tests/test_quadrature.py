@@ -161,3 +161,37 @@ class TestFinalPanels:
         assert mid_err > DEFAULT_SPEC.rel_tol * abs(val) >= err
         assert panels.tolist() == [[0.0, 1.0], [1.0, 1.0 + ulp], [1.0 + ulp, 2.0]]
         self._assert_tiles(panels, breakpoints)
+
+
+class TestScaleRule:
+    """Where the largest |f| on the seed panels is below 1/2, abs_tol is in its
+    units: f is scaled by a power of two, and value and error scaled back."""
+
+    BUMP = 1e-20 * math.sqrt(math.pi / 1e4)   # int_0^1 1e-20 e^{-1e4 (x - 0.3)^2} dx
+
+    @staticmethod
+    def _bump(x):
+        return 1e-20 * np.exp(-1e4 * (x - 0.3) ** 2)
+
+    def test_small_narrow_bump(self):
+        val, _ = integrate_finite(self._bump, 0.0, 1.0)
+        assert val == pytest.approx(self.BUMP, rel=1e-12, abs=0)
+
+    def test_small_semi_infinite_tail(self):
+        val, _ = integrate_semi_infinite(lambda t: 1e-20 * np.exp(-1e3 * t))
+        assert val == pytest.approx(1e-23, rel=1e-12, abs=0)
+
+    def test_power_of_two_multiple_keeps_the_bits(self):
+        # the seed peak of f is in [1/2, 1), so f is integrated as it is, and
+        # 2^-60 f is scaled back onto f exactly: same panels, same bits
+        f = lambda x: 0.75 * np.exp(-np.abs(x - 0.123456) * 5.0)
+        val, err, panels = _adaptive(f, [0.0, 0.5, 1.0], DEFAULT_SPEC)
+        tiny = _adaptive(lambda x: 2.0 ** -60 * f(x), [0.0, 0.5, 1.0], DEFAULT_SPEC)
+        assert len(panels) > 2
+        assert tiny[0] == 2.0 ** -60 * val and tiny[1] == 2.0 ** -60 * err
+        assert np.array_equal(tiny[2], panels)
+
+    def test_convergence_error_in_the_integrand_units(self):
+        with pytest.raises(QuadratureConvergenceError) as info:
+            integrate_finite(self._bump, 0.0, 1.0, QuadSpec(max_subdivisions=4))
+        assert abs(info.value.value - self.BUMP) <= info.value.err_est <= 1e-20
